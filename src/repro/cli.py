@@ -81,11 +81,7 @@ from repro.energy.power import MCU_ACTIVE_POWER_W, PowerModel, TaskCost
 from repro.errors import ReproError, RuntimeConfigError, SpecError
 from repro.fleet import FleetServer, RolloutPlan, build_bundle, compat_diff
 from repro.fleet.control import ControlConfig, ControlPlane
-from repro.fleet.server import (
-    FLEET_SPEC_REGRESSING,
-    FLEET_SPEC_V1,
-    FLEET_SPEC_V2,
-)
+from repro.fleet.server import FLEET_SPEC_REGRESSING, FLEET_SPEC_V2
 from repro.peripherals import PeripheralSet, parse_fault_spec
 from repro.sim.analysis import action_summary, render_timeline
 from repro.sim.device import Device
@@ -568,9 +564,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     server = FleetServer()
 
     if args.action == "status":
-        app = build_health_app()
-        base = build_bundle(FLEET_SPEC_V1, app, version=1)
-        target = build_bundle(new_spec, app, version=2)
+        base = server.base_bundle
+        target = build_bundle(new_spec, build_health_app(), version=2)
         diff = compat_diff(base, target)
         status = {
             "base": {"version": base.version, "hash": base.content_hash,

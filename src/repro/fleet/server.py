@@ -256,6 +256,10 @@ class FleetServer:
     def __init__(self, base_spec: str = FLEET_SPEC_V1, base_version: int = 1):
         self.base_spec = base_spec
         self.base_version = base_version
+        #: What every device is provisioned with and every delta is
+        #: encoded against: built once, not once per device.
+        self.base_bundle = build_bundle(base_spec, build_health_app(),
+                                        version=base_version)
 
     # ------------------------------------------------------------------
     # Bundle preparation
@@ -263,11 +267,10 @@ class FleetServer:
     def encode_update(self, new_spec: str, new_version: int,
                       use_delta: bool = True) -> bytes:
         """Wire blob for ``new_spec`` (delta against the baseline)."""
-        app = build_health_app()
-        target = build_bundle(new_spec, app, version=new_version)
+        target = build_bundle(new_spec, build_health_app(),
+                              version=new_version)
         if use_delta:
-            base = build_bundle(self.base_spec, app, version=self.base_version)
-            return base.delta_to(target).to_wire()
+            return self.base_bundle.delta_to(target).to_wire()
         return target.to_wire()
 
     # ------------------------------------------------------------------
@@ -308,9 +311,7 @@ class FleetServer:
             device.nvm, journal=runtime.journal,
             boot_loop_threshold=plan.boot_loop_threshold,
         )
-        installer.install_initial(
-            build_bundle(self.base_spec, app, version=self.base_version)
-        )
+        installer.install_initial(self.base_bundle)
         loss = None
         if plan.loss_rate > 0.0:
             loss_base = (device_id % 4 if seed_mode == "per_cohort"

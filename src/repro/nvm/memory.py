@@ -6,11 +6,13 @@ failures. A :class:`NonVolatileMemory` instance outlives the device's
 volatile state: the simulator wipes everything *except* this object on
 reboot.
 
-Integrity model: every committed write records a per-cell checksum, so
-silent corruption — injected with :meth:`NonVolatileMemory.corrupt`, the
-simulation's bit-flip fault — is detectable by :meth:`verify` without
-being observable through normal reads. Cells can also be given a wear
-limit after which they go read-only, modelling worn-out storage.
+Integrity model: a write is a plain store, as on FRAM. Silent corruption
+— injected with :meth:`NonVolatileMemory.corrupt`, the simulation's
+bit-flip fault — records the cell's checksum from before the flip, so
+:meth:`verify` detects the damage without it being observable through
+normal reads; the next legitimate write drops the record. Only corrupted
+cells ever pay for a checksum. Cells can also be given a wear limit
+after which they go read-only, modelling worn-out storage.
 """
 
 from __future__ import annotations
@@ -26,32 +28,8 @@ from repro.errors import NVMError
 DEFAULT_CAPACITY_BYTES = 256 * 1024
 
 
-#: Bounded memo for checksums of small immutable scalars. Monitors,
-#: journals and the persistent clock rewrite the same handful of
-#: states and counters millions of times per fleet simulation, and the
-#: repr+CRC pair showed up as the top cost in the fleet benchmark.
-#: Keys carry the concrete type so ``True``/``1`` and ``1``/``1.0``
-#: never alias; ``±0.0`` (equal, different reprs) stays unmemoized.
-_CHECKSUM_MEMO: dict = {}
-_CHECKSUM_MEMO_MAX = 4096
-
-
 def value_checksum(value: Any) -> int:
     """Deterministic checksum of a cell value (CRC-32 over its repr)."""
-    t = type(value)
-    if (t is int or t is bool
-            or (t is float and value != 0.0)
-            or (t is str and len(value) <= 64)):
-        key = (t, value)
-        memo = _CHECKSUM_MEMO
-        checksum = memo.get(key)
-        if checksum is None:
-            checksum = zlib.crc32(
-                repr(value).encode("utf-8", "backslashreplace"))
-            if len(memo) >= _CHECKSUM_MEMO_MAX:
-                memo.clear()
-            memo[key] = checksum
-        return checksum
     return zlib.crc32(repr(value).encode("utf-8", "backslashreplace"))
 
 
@@ -133,7 +111,8 @@ class PersistentCell:
                 f"{limit[0]} writes"
             )
         nvm._data[self.name] = value
-        nvm._checksums[self.name] = value_checksum(value)
+        if nvm._corrupted:
+            nvm._corrupted.pop(self.name, None)
         nvm._write_count += 1
         counts = nvm._cell_writes
         counts[self.name] = counts.get(self.name, 0) + 1
@@ -165,7 +144,8 @@ class NonVolatileMemory:
         self._used_bytes = 0
         self._write_count = 0
         self._cell_writes: Dict[str, int] = {}
-        self._checksums: Dict[str, int] = {}
+        #: Pre-flip checksums of the cells corrupted since their last write.
+        self._corrupted: Dict[str, int] = {}
         self._initials: Dict[str, Any] = {}
         self._write_limits: Dict[str, Tuple[int, bool]] = {}
         self._wear_dropped = 0
@@ -219,7 +199,6 @@ class NonVolatileMemory:
         cell = PersistentCell(self, name, size_bytes)
         self._cells[name] = cell
         self._data[name] = initial
-        self._checksums[name] = value_checksum(initial)
         self._initials[name] = copy.deepcopy(initial)
         self._used_bytes += size_bytes
         return cell
@@ -252,18 +231,26 @@ class NonVolatileMemory:
             raise NVMError(f"cell {name!r} not allocated")
         self._used_bytes -= cell.size_bytes
         del self._data[name]
-        self._checksums.pop(name, None)
+        self._corrupted.pop(name, None)
         self._initials.pop(name, None)
         self._write_limits.pop(name, None)
 
     # ------------------------------------------------------------------
-    # Integrity: checksums, corruption, wear
+    # Integrity: corruption records, wear
     # ------------------------------------------------------------------
     def verify(self, name: str) -> bool:
-        """True if cell ``name`` still matches its last recorded checksum."""
+        """True unless cell ``name`` holds corrupted content.
+
+        A cell with no corruption record passes: it was never corrupted,
+        or has been legitimately written since. A corrupted cell passes
+        only if its value hashes to the checksum recorded before the
+        first flip again — exactly when a checksum rewritten on every
+        write would match.
+        """
         if name not in self._cells:
             raise NVMError(f"cell {name!r} not allocated")
-        return value_checksum(self._data[name]) == self._checksums[name]
+        recorded = self._corrupted.get(name)
+        return recorded is None or value_checksum(self._data[name]) == recorded
 
     def verify_all(self) -> List[str]:
         """Names of all cells failing checksum verification."""
@@ -272,13 +259,16 @@ class NonVolatileMemory:
     def corrupt(self, name: str, bit: int = 0) -> Any:
         """Silently corrupt a cell, as a cosmic-ray bit flip would.
 
-        The stored value changes but the recorded checksum (and the write
-        counters) do not, so normal reads return the garbage while
-        :meth:`verify` detects the damage. Returns the corrupted value.
+        The stored value changes but the write counters do not, so
+        normal reads return the garbage. The first flip since the cell's
+        last write records the checksum of the value it destroyed, which
+        :meth:`verify` compares against. Returns the corrupted value.
         """
         if name not in self._cells:
             raise NVMError(f"cell {name!r} not allocated")
-        corrupted = _flip(self._data[name], bit)
+        value = self._data[name]
+        self._corrupted.setdefault(name, value_checksum(value))
+        corrupted = _flip(value, bit)
         self._data[name] = corrupted
         return corrupted
 

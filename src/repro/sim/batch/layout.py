@@ -14,13 +14,13 @@ Two containers live here:
 
 * :class:`SoAImage` — a columnar snapshot of a
   :class:`~repro.nvm.memory.NonVolatileMemory`: cell names, values,
-  sizes, checksums, initials and progress flags as parallel tuples.
-  ``restore()`` rebuilds a live NVM holding byte-identical durable
-  state (checksums are carried over verbatim, *not* recomputed, so a
-  silently corrupted cell stays detectably corrupt after the round
-  trip). The batched core uses it to share one final NVM image across a
-  cohort's lanes, and the journal property tests use it to prove that
-  commit/recovery behaves identically on imaged state.
+  sizes, initials and progress flags as parallel tuples, plus the
+  sparse map of corruption records. ``restore()`` rebuilds a live NVM
+  holding byte-identical durable state (corruption records are carried
+  over verbatim, so a silently corrupted cell stays detectably corrupt
+  after the round trip). The batched core uses it to share one final
+  NVM image across a cohort's lanes, and the journal property tests use
+  it to prove that commit/recovery behaves identically on imaged state.
 """
 
 from __future__ import annotations
@@ -167,21 +167,21 @@ class SoAImage:
     """Columnar image of a non-volatile memory's durable state.
 
     Parallel tuples (sorted by cell name) of names, values, accounted
-    sizes, recorded checksums, allocation-time initials, progress flags
-    and write limits — the exact durable state Surbatovich-style
-    intermittence semantics says must be preserved bit-for-bit across
-    the batched/scalar boundary.
+    sizes, allocation-time initials and progress flags, plus the
+    corruption records and write limits by cell name — the exact durable
+    state Surbatovich-style intermittence semantics says must be
+    preserved bit-for-bit across the batched/scalar boundary.
     """
 
     def __init__(self, names: Tuple[str, ...], values: Tuple[Any, ...],
-                 sizes: Tuple[int, ...], checksums: Tuple[int, ...],
+                 sizes: Tuple[int, ...], corrupted: Dict[str, int],
                  initials: Tuple[Any, ...], progress: Tuple[bool, ...],
                  write_limits: Dict[str, Tuple[int, bool]],
                  capacity_bytes: int):
         self.names = names
         self.values = values
         self.sizes = sizes
-        self.checksums = checksums
+        self.corrupted = dict(corrupted)
         self.initials = initials
         self.progress = progress
         self.write_limits = dict(write_limits)
@@ -194,7 +194,7 @@ class SoAImage:
             names=names,
             values=tuple(copy.deepcopy(nvm._data[n]) for n in names),
             sizes=tuple(nvm._cells[n].size_bytes for n in names),
-            checksums=tuple(nvm._checksums[n] for n in names),
+            corrupted=nvm._corrupted,
             initials=tuple(copy.deepcopy(nvm._initials[n]) for n in names),
             progress=tuple(n in nvm._progress_cells for n in names),
             write_limits=dict(nvm._write_limits),
@@ -204,7 +204,7 @@ class SoAImage:
     def restore(self) -> NonVolatileMemory:
         """Rebuild a live NVM holding this image's durable state.
 
-        Values, recorded checksums, initials, sizes, progress flags and
+        Values, corruption records, initials, sizes, progress flags and
         wear limits all come back verbatim; write counters start from
         zero (they are observability metadata, not durable state — the
         journal recovery path never reads them).
@@ -214,7 +214,7 @@ class SoAImage:
             nvm.alloc(name, initial=copy.deepcopy(self.initials[i]),
                       size_bytes=self.sizes[i], progress=self.progress[i])
             nvm._data[name] = copy.deepcopy(self.values[i])
-            nvm._checksums[name] = self.checksums[i]
+        nvm._corrupted.update(self.corrupted)
         for name, limit in self.write_limits.items():
             if name in nvm._cells:
                 nvm._write_limits[name] = limit

@@ -58,6 +58,7 @@ import pickle
 import struct
 import threading
 import time
+from multiprocessing import resource_tracker
 from pathlib import Path
 from typing import (
     Any,
@@ -326,14 +327,6 @@ class SharedRowTable:
                              *values)
         finally:
             shm.close()
-            # Attaching registered the segment with this process's
-            # resource tracker; the parent owns the unlink, so drop the
-            # registration to avoid spurious leak warnings at exit.
-            try:
-                from multiprocessing import resource_tracker
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +473,10 @@ class PersistentPool:
             self._spawn()
 
     def _spawn(self) -> None:
+        # Fork after the parent's resource tracker runs, so workers share
+        # it: a worker's attach to a result table then registers with the
+        # tracker the parent's unlink unregisters from.
+        resource_tracker.ensure_running()
         worker = self._ctx.Process(
             target=_pool_worker, args=(self._task_q, self._result_q),
             daemon=True)

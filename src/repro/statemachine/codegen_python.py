@@ -11,6 +11,7 @@ differential-testable.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, MutableMapping, Optional, Type
 
 from repro.errors import GenerationError, StateMachineError
@@ -177,15 +178,29 @@ def class_name(machine: StateMachine) -> str:
 
 
 def compile_machine(machine: StateMachine) -> Type:
-    """Generate, compile, and return the monitor class for ``machine``."""
-    source = generate_python_source(machine)
+    """Generate, compile, and return the monitor class for ``machine``.
+
+    Classes are shared process-wide by generated source text, so a fleet
+    provisioned from one spec compiles each machine once per process;
+    each instance still keeps its own store and extern resolver.
+    """
+    return _compile(generate_python_source(machine), class_name(machine))
+
+
+#: Distinct generated classes kept per process (far above any one
+#: spec's machine count; bounded so distinct specs cannot grow memory).
+_COMPILED_CLASSES = 256
+
+
+@functools.lru_cache(maxsize=_COMPILED_CLASSES)
+def _compile(source: str, name: str) -> Type:
     namespace: Dict[str, Any] = {
         "Verdict": Verdict,
         "StateMachineError": StateMachineError,
     }
-    code = compile(source, filename=f"<generated monitor {machine.name}>", mode="exec")
+    code = compile(source, filename=f"<generated {name}>", mode="exec")
     exec(code, namespace)  # noqa: S102 - executing our own generated code
-    return namespace[class_name(machine)]
+    return namespace[name]
 
 
 def instantiate(machine: StateMachine,

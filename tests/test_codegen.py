@@ -9,7 +9,17 @@ from hypothesis import strategies as st
 from repro.core.actions import ActionType
 from repro.core.events import MonitorEvent, end_event, start_event
 from repro.core.generator import generate_machine
-from repro.core.properties import Collect, DpData, MaxDuration, MaxTries, MITD, Period
+from repro.core.monitor import ArtemisMonitor
+from repro.core.properties import (
+    MITD,
+    Collect,
+    DpData,
+    MaxDuration,
+    MaxTries,
+    Period,
+    PropertySet,
+)
+from repro.nvm.memory import NonVolatileMemory
 from repro.statemachine.codegen_c import (
     generate_c_bundle,
     generate_c_source,
@@ -91,6 +101,50 @@ class TestPythonCodegen:
 
         with pytest.raises(StateMachineError):
             monitor.on_event(end_event("A", 0.0, {}))
+
+
+class TestCompiledClassSharing:
+    """Generated classes are shared process-wide by source text; the
+    state behind them is not."""
+
+    @staticmethod
+    def _tries(limit):
+        return MaxTries(task="A", on_fail=ActionType.SKIP_PATH, limit=limit)
+
+    def _monitor(self, limit):
+        props = PropertySet()
+        props.add(self._tries(limit))
+        props.add(Collect(task="A", on_fail=ActionType.RESTART_PATH,
+                          dep_task="B", count=2))
+        return ArtemisMonitor(props, NonVolatileMemory())
+
+    @staticmethod
+    def _classes(monitor):
+        return {m.name: type(inst)
+                for m, inst in zip(monitor.machines, monitor.instances)}
+
+    @staticmethod
+    def _state(monitor):
+        return [(inst.state, [inst.get(v.name) for v in m.variables])
+                for m, inst in zip(monitor.machines, monitor.instances)]
+
+    def test_one_spec_shares_classes_but_not_state(self):
+        a, b = self._monitor(3), self._monitor(3)
+        for x, y in zip(a.instances, b.instances):
+            assert type(x) is type(y)
+        untouched = self._state(b)
+        for t in range(3):
+            a.call(start_event("A", float(t)))
+        assert self._state(a) != untouched
+        assert self._state(b) == untouched
+
+    def test_changed_machine_alone_gets_a_new_class(self):
+        base = self._classes(self._monitor(3))
+        changed = self._classes(self._monitor(5))
+        assert base.keys() == changed.keys()
+        tries = self._tries(3).machine_name()
+        for name, cls in base.items():
+            assert (changed[name] is cls) == (name != tries)
 
 
 def _event_stream_strategy():

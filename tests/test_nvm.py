@@ -1,11 +1,16 @@
 """Unit tests for the non-volatile memory substrate."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NVMError
-from repro.nvm.memory import NonVolatileMemory, namespaced
+from repro.nvm.memory import NonVolatileMemory, namespaced, value_checksum
 from repro.nvm.store import NVMStore
 from repro.nvm.transaction import Transaction
+from repro.sim.batch import SoAImage
 
 
 class TestAllocation:
@@ -374,3 +379,107 @@ class TestIntegrity:
         cell.set(2)  # dropped
         assert cell.get() == 1
         assert nvm.wear_dropped == 1
+
+
+class EagerChecksums:
+    """Reference integrity model: a CRC-32 of every cell's value,
+    rewritten on every legitimate write and left alone by corruption.
+    ``NonVolatileMemory.verify`` must agree with it at every step."""
+
+    def __init__(self):
+        self.values, self.checksums, self.initials = {}, {}, {}
+        self.limits, self.writes = {}, {}
+
+    def alloc(self, name, initial):
+        self.values[name] = initial
+        self.checksums[name] = value_checksum(initial)
+        self.initials[name] = copy.deepcopy(initial)
+
+    def free(self, name):
+        for table in (self.values, self.checksums, self.initials,
+                      self.limits):
+            table.pop(name, None)
+
+    def write(self, name, value):
+        """``"ok"``, ``"dropped"`` (silent wear) or ``"raises"``."""
+        limit = self.limits.get(name)
+        if limit is not None and self.writes.get(name, 0) >= limit[0]:
+            return "dropped" if limit[1] else "raises"
+        self.values[name] = value
+        self.checksums[name] = value_checksum(value)
+        self.writes[name] = self.writes.get(name, 0) + 1
+        return "ok"
+
+    def failing(self):
+        return [name for name, value in self.values.items()
+                if value_checksum(value) != self.checksums[name]]
+
+
+_CELLS = ("a", "b", "c")
+_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000),
+    st.floats(allow_nan=False), st.text(max_size=4),
+    st.tuples(st.integers(0, 9), st.text(max_size=2)),
+    st.lists(st.integers(0, 9), max_size=3))
+_names = st.sampled_from(_CELLS)
+_ops = st.one_of(
+    st.tuples(st.just("set"), _names, _values),
+    st.tuples(st.just("corrupt"), _names, st.integers(0, 15)),
+    st.tuples(st.just("restore"), _names),
+    st.tuples(st.just("limit"), _names, st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("realloc"), _names, _values),
+)
+
+
+class TestCorruptionRecords:
+    @given(initial=_values, ops=st.lists(_ops, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_verify_agrees_with_eager_checksums(self, initial, ops):
+        """Random writes, repeated flips, repairs, worn-out writes and
+        re-allocations: the corruption records give the eager model's
+        verdict after every step, and survive an SoA image round trip."""
+        nvm, ref = NonVolatileMemory(), EagerChecksums()
+        for name in _CELLS:
+            nvm.alloc(name, initial=initial)
+            ref.alloc(name, initial)
+        for op, name, *args in ops:
+            if op in ("set", "restore"):
+                value = (args[0] if op == "set"
+                         else copy.deepcopy(ref.initials[name]))
+                expected = ref.write(name, value)
+                try:
+                    if op == "set":
+                        nvm.cell(name).set(value)
+                    else:
+                        nvm.restore_initial(name)
+                except NVMError:
+                    assert expected == "raises"
+                else:
+                    assert expected != "raises"
+            elif op == "corrupt":
+                ref.values[name] = nvm.corrupt(name, args[0])
+            elif op == "limit":
+                nvm.set_write_limit(name, *args)
+                ref.limits[name] = tuple(args)
+            else:
+                nvm.free(name)
+                ref.free(name)
+                nvm.alloc(name, initial=args[0])
+                ref.alloc(name, args[0])
+            assert dict(nvm.raw_items()) == ref.values
+            assert nvm.verify_all() == ref.failing()
+            assert [nvm.verify(n) for n in _CELLS] == [
+                n not in ref.failing() for n in _CELLS]
+        restored = SoAImage.from_nvm(nvm).restore()
+        assert restored.verify_all() == sorted(ref.failing())
+
+    def test_image_round_trip_keeps_corruption_records(self, nvm):
+        for name in _CELLS:
+            nvm.alloc(name, initial=7)
+        nvm.corrupt("a", 3)
+        nvm.corrupt("b", 1)
+        nvm.cell("b").set(9)  # rewritten after corruption: trusted again
+        restored = SoAImage.from_nvm(nvm).restore()
+        assert restored.verify_all() == ["a"]
+        restored.cell("a").set(1)
+        assert restored.verify_all() == []

@@ -4,6 +4,9 @@ transport, worker-death recovery, and sweep-strategy parity
 
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +248,47 @@ class TestSharedPoolRegistry:
         b = get_pool(2)
         assert b is not a
         assert b.run(square, [3]) == [9]
+
+
+_REFORK_SCRIPT = """\
+from repro.sim.pool import get_pool, shutdown_pools
+
+
+class Rows:
+    shm_row_size = 1
+
+    def __call__(self, x):
+        return float(x)
+
+    @staticmethod
+    def encode_row(row):
+        return [row]
+
+    @staticmethod
+    def decode_row(values):
+        return values[0]
+
+
+for _ in range(3):
+    assert get_pool(2).run(Rows(), range(16)) == [float(x) for x in range(16)]
+    shutdown_pools()
+"""
+
+
+@fork_only
+class TestResourceTracker:
+    def test_reforked_pools_print_no_tracker_tracebacks(self):
+        """Workers share the parent's resource tracker, so the
+        shared-memory tables they write to stay registered until the
+        parent unlinks them; otherwise that unlink makes the tracker
+        print a KeyError traceback once pools are forked again."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _REFORK_SCRIPT], capture_output=True,
+            text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
 
 
 class TestSweepStrategies:
