@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test crashsweep conformance predict soak bench bench-baseline bench-check examples figures fleet verify all
+.PHONY: install test crashsweep conformance predict soak bench bench-baseline bench-check bench-e2e bench-layers examples figures fleet verify all
 
 # Crash bound for the conformance checker (docs/verification.md).
 BOUND ?= 2
@@ -69,6 +69,18 @@ bench-baseline:
 
 bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/regression.py
+
+# End-to-end system benchmark (benchmarks/e2e/README.md): all four
+# workloads at smoke sizes, results in a fresh temporary directory.
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py --seed 0 --quick --out $$(mktemp -d)
+
+# One workload at full size plus its traced per-layer table, e.g.
+# `make bench-layers WORKLOAD=verify-crash`.
+WORKLOAD ?= fleet-streamed
+
+bench-layers:
+	$(PYTHON) benchmarks/e2e/run.py --seed 0 --workload $(WORKLOAD) --trace --out $$(mktemp -d)
 
 figures:
 	REPRO_BENCH_JOBS=$(JOBS) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s -q

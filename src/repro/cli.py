@@ -784,9 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="runtime to check (default: all)")
     p_verify.add_argument("--bound", type=int, default=2,
                           help="maximum crashes per schedule (default: 2)")
-    p_verify.add_argument("--budget", type=int, default=400,
+    p_verify.add_argument("--budget", type=int, default=1000,
                           help="simulated executions per scenario "
-                               "(default: 400). A search that hits the "
+                               "(default: 1000). A search that hits the "
                                "budget before reaching --bound is reported "
                                "truncated, warned about, and exits 4 — it "
                                "is not an exhaustiveness proof")

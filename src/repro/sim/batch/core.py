@@ -586,7 +586,7 @@ class BatchFleetCore:
         from repro.verify.schedule import CrashScheduleRunner
 
         device, runtime = self._build(device_id)
-        CrashScheduleRunner(tuple(schedule), record=False).bind(device)
+        CrashScheduleRunner(tuple(schedule), record_from=None).bind(device)
         ledger = cohort.ledger
         rejoin_at: List[int] = []
 

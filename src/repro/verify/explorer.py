@@ -8,8 +8,9 @@ against the oracle with :func:`repro.verify.oracle.compare_outcomes`.
 
 Two things keep the search tractable:
 
-* **State-hash pruning.** The baseline (and every explored prefix)
-  records the durable-state fingerprint *before* each energy payment
+* **State-hash pruning.** The baseline (and every explored prefix
+  below the bound, from the payment after its last crash on) records
+  the durable-state fingerprint *before* each energy payment
   (:class:`~repro.verify.schedule.CrashScheduleRunner`). A crash loses
   all volatile state, so two crash points with identical durable
   fingerprints reboot into identical futures — one representative per
@@ -167,18 +168,21 @@ class CrashScheduleExplorer:
         self.time_sensitive = time_sensitive
         self.name = name
         self._oracle_run: Optional[ScheduleRun] = None
+        self._oracle: Optional[Outcome] = None
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def execute(self, schedule: Schedule = (),
                 fingerprint_policy: Optional[FingerprintPolicy] = None,
-                ) -> ScheduleRun:
-        """Run the scenario once under ``schedule`` (fresh device)."""
+                record_from: Optional[int] = 1) -> ScheduleRun:
+        """Run the scenario once under ``schedule`` (fresh device),
+        fingerprinting crash states from payment ``record_from`` on."""
         schedule = validate_schedule(schedule)
         device, runtime = self.build()
         runner = CrashScheduleRunner(
-            schedule, time_sensitive=self.time_sensitive,
+            schedule, record_from=record_from,
+            time_sensitive=self.time_sensitive,
             fingerprint_policy=fingerprint_policy).bind(device)
         device.run(runtime, **self.run_kwargs)
         outcome = extract_outcome(device, runtime, self.policy,
@@ -188,10 +192,13 @@ class CrashScheduleExplorer:
     @property
     def oracle(self) -> Outcome:
         """The crash-free outcome (cached; computed on first use)."""
-        return self.oracle_run.outcome
+        if self._oracle is None:
+            self._oracle = self.oracle_run.outcome
+        return self._oracle
 
     @property
     def oracle_run(self) -> ScheduleRun:
+        """The crash-free run, raw fingerprints recorded from payment 1."""
         if self._oracle_run is None:
             run = self.execute(())
             if not run.outcome.completed:
@@ -203,7 +210,7 @@ class CrashScheduleExplorer:
 
     def check(self, schedule: Schedule) -> List[str]:
         """Divergences of one schedule from the oracle ([] = conforms)."""
-        run = self.execute(schedule)
+        run = self.execute(schedule, record_from=None)
         return compare_outcomes(self.oracle, run.outcome, self.policy)
 
     def _counterexample(self, run: ScheduleRun,
@@ -266,8 +273,10 @@ class CrashScheduleExplorer:
                 raise ReproError(
                     f"scenario {self.name!r}: the crash-free oracle run did "
                     "not complete — the scenario is misconfigured, not buggy")
-            if self._oracle_run is None:
-                self._oracle_run = base
+            # Its runner holds projected signatures only, so it gives
+            # the oracle outcome but does not become ``oracle_run``.
+            if self._oracle is None:
+                self._oracle = base.outcome
         else:
             base = self.oracle_run
         report.runs_executed = 1
@@ -298,9 +307,13 @@ class CrashScheduleExplorer:
                 if report.runs_executed >= budget:
                     report.truncated = True
                     return report
+                # A child is only ever extended past its last crash, and
+                # never at the bound: fingerprint just what may be read.
                 child_schedule = parent.schedule + (index,)
-                child = self.execute(child_schedule,
-                                     fingerprint_policy=fp_policy)
+                child = self.execute(
+                    child_schedule, fingerprint_policy=fp_policy,
+                    record_from=(index + 1 if len(child_schedule) < bound
+                                 else None))
                 report.runs_executed += 1
                 report.schedules_checked += 1
                 problems = compare_outcomes(self.oracle, child.outcome,

@@ -370,7 +370,7 @@ def run_memory_model(build, schedule: Tuple[int, ...] = (),
     device, runtime = build()
     log = AccessLog(normalize=mask_time_fields, mask_cells=is_time_cell)
     device.nvm.attach_access_log(log)
-    CrashScheduleRunner(schedule, record=False).bind(device)
+    CrashScheduleRunner(schedule, record_from=None).bind(device)
     device.run(runtime, **(run_kwargs or {}))
     checker = MemoryModelChecker(
         progress_cells=device.nvm.progress_cells, latent=latent)

@@ -12,14 +12,22 @@ enumerates schedules instead of executions.
 :attr:`~repro.sim.Device.scheduler`. Besides injecting the scheduled
 failures it records, per payment index:
 
-* the NVM :meth:`~repro.nvm.memory.NonVolatileMemory.state_fingerprint`
-  *just before* the payment — the exact durable state a crash at that
-  index would reboot from, which is what makes state-hash pruning
-  possible;
-* the payment's consumption category; and
+* the payment's consumption category;
 * the semantic label of the commit step paying, when the runtime
   forwarded one via :meth:`annotate` (see
-  :meth:`repro.nvm.transaction.Transaction.commit`).
+  :meth:`repro.nvm.transaction.Transaction.commit`); and
+* from payment ``record_from`` on, the crash-state fingerprint *just
+  before* the payment — the exact durable state a crash at that index
+  would reboot from, which is what makes state-hash pruning possible.
+  That is the raw NVM
+  :meth:`~repro.nvm.memory.NonVolatileMemory.state_fingerprint`, or,
+  with a :class:`FingerprintPolicy`, the recovery-projected search
+  signature instead.
+
+Fingerprinting hashes the whole NVM, so it is the runner's dominant
+cost. The explorer only ever extends a run past its last crash, and
+never extends a run at the bound, so it asks for fingerprints from the
+payment after the last crash, or for none.
 """
 
 from __future__ import annotations
@@ -156,39 +164,45 @@ class CrashScheduleRunner:
     Args:
         schedule: payment indices to crash at (may be empty — then the
             runner only observes).
-        record: capture per-index fingerprints/categories/labels. Turn
-            off for plain replay runs where only the injection matters.
+        record_from: first payment index whose crash state is
+            fingerprinted; ``None`` fingerprints none, for plain replay
+            runs where only the injection matters. Categories and
+            commit-step labels are recorded at every payment regardless.
         time_sensitive: include the (rounded) simulation time in the
             recorded fingerprint. Costs pruning power — time advances
             monotonically — but is required for workloads whose
             behaviour genuinely depends on absolute time.
-        fingerprint_policy: when given, additionally record
-            *projected* fingerprints (see :class:`FingerprintPolicy`)
-            and per-payment search signatures for the explorer's
-            partial-order reduction.
+        fingerprint_policy: when given, record *projected* fingerprints
+            (see :class:`FingerprintPolicy`) and per-payment search
+            signatures for the explorer's partial-order reduction
+            instead of raw fingerprints.
     """
 
-    def __init__(self, schedule: Iterable[int] = (), record: bool = True,
+    def __init__(self, schedule: Iterable[int] = (),
+                 record_from: Optional[int] = 1,
                  time_sensitive: bool = False,
                  fingerprint_policy: Optional[FingerprintPolicy] = None):
         self.schedule = validate_schedule(schedule)
         self._crash_at = frozenset(self.schedule)
-        self.record = record
+        self.record_from = record_from
         self.time_sensitive = time_sensitive
         self.fingerprint_policy = fingerprint_policy
         self.calls = 0
         self.crashes = 0
-        #: fingerprints[k-1] is the durable state a crash at payment k
-        #: would reboot from.
+        # The next four lists hold payment k's crash state at position
+        # k - record_from.
+        #: Raw durable state a crash at each payment would reboot from
+        #: (only without a fingerprint_policy).
         self.fingerprints: List[int] = []
-        #: projected[k-1] is the *post-recovery* state a crash at
-        #: payment k would lead to (only with a fingerprint_policy).
+        #: *Post-recovery* state a crash at each payment would lead to
+        #: (only with a fingerprint_policy).
         self.projected: List[int] = []
-        #: action_crcs[k-1] hashes the normalised corrective-action
-        #: prefix emitted before payment k (only with a policy).
+        #: CRC of the normalised corrective-action prefix emitted
+        #: before each payment (only with a fingerprint_policy).
         self.action_crcs: List[int] = []
-        #: runs_done[k-1] is the application-runs count at payment k.
+        #: Application-runs count at each payment (only with a policy).
         self.runs_done: List[int] = []
+        #: categories[k-1] is payment k's consumption category.
         self.categories: List[str] = []
         #: payment index -> commit-step label (only labelled steps).
         self.labels: Dict[int, str] = {}
@@ -218,16 +232,17 @@ class CrashScheduleRunner:
                        category: str) -> bool:
         """Count one payment; True tells the device to brown out."""
         self.calls += 1
-        if self.record:
-            self.fingerprints.append(self._fingerprint())
-            self.categories.append(category)
-            if self.fingerprint_policy is not None:
+        self.categories.append(category)
+        if self._pending_label is not None:
+            self.labels[self.calls] = self._pending_label
+            self._pending_label = None
+        if self.record_from is not None and self.calls >= self.record_from:
+            if self.fingerprint_policy is None:
+                self.fingerprints.append(self._fingerprint())
+            else:
                 self.projected.append(self._projected_fingerprint())
                 self.action_crcs.append(self._advance_action_crc())
                 self.runs_done.append(self._device.result.runs_completed)
-            if self._pending_label is not None:
-                self.labels[self.calls] = self._pending_label
-        self._pending_label = None
         if self.calls in self._crash_at:
             self.crashes += 1
             return True
@@ -259,8 +274,10 @@ class CrashScheduleRunner:
         """Running CRC of the normalised corrective-action prefix.
 
         Mirrors :func:`repro.verify.oracle._normalized_actions` event by
-        event, but incrementally — each payment only hashes the trace
-        events recorded since the previous payment.
+        event, but incrementally — each recorded payment only hashes the
+        trace events recorded since the previous one. It advances over
+        trace positions, not payments, so its value at the first
+        recorded payment covers the whole prefix whatever ``record_from``.
         """
         events = self._device.trace.events
         crc = self._action_crc
@@ -274,9 +291,28 @@ class CrashScheduleRunner:
     # ------------------------------------------------------------------
     # Post-run queries used by the explorer
     # ------------------------------------------------------------------
+    def _position(self, index: int, projected: bool) -> int:
+        """Where payment ``index``'s crash state sits in the recorded
+        lists; raises unless the runner fingerprinted it that way."""
+        has_policy = self.fingerprint_policy is not None
+        if (projected == has_policy and self.record_from is not None
+                and self.record_from <= index <= self.calls):
+            return index - self.record_from
+        if projected != has_policy:
+            why = ("it records projected signatures only" if has_policy
+                   else "it has no fingerprint_policy")
+        elif self.record_from is None:
+            why = "it fingerprints no payment"
+        else:
+            why = f"it fingerprints payments {self.record_from}..{self.calls}"
+        kind = "search signature" if projected else "raw fingerprint"
+        raise ReproError(
+            f"no {kind} recorded for payment {index} "
+            f"(record_from={self.record_from}): {why}")
+
     def fingerprint_at(self, index: int) -> int:
         """Durable-state fingerprint a crash at payment ``index`` sees."""
-        return self.fingerprints[index - 1]
+        return self.fingerprints[self._position(index, projected=False)]
 
     def label_at(self, index: int) -> Optional[str]:
         return self.labels.get(index)
@@ -295,10 +331,9 @@ class CrashScheduleRunner:
         partial-order reduction prunes whole subtrees on this equality.
         Requires a ``fingerprint_policy``.
         """
-        if self.fingerprint_policy is None:
-            raise ReproError("signature_at needs a fingerprint_policy")
-        return (self.projected[index - 1], self.action_crcs[index - 1],
-                self.runs_done[index - 1])
+        pos = self._position(index, projected=True)
+        return (self.projected[pos], self.action_crcs[pos],
+                self.runs_done[pos])
 
     def representatives(self, start: int, stop: Optional[int] = None,
                         projected: bool = False) -> List[int]:
@@ -311,22 +346,19 @@ class CrashScheduleRunner:
         the scan uses the recovery-projected fingerprints instead
         (requires a ``fingerprint_policy``): interior crash points of a
         journaled commit then collapse into their post-recovery
-        classes.
+        classes. Every index in the window must have been recorded.
         """
-        if projected and self.fingerprint_policy is None:
-            raise ReproError("projected representatives need a "
-                             "fingerprint_policy")
         stop = self.calls if stop is None else min(stop, self.calls)
         out: List[int] = []
-        last_fp: Optional[Tuple] = None
+        last_fp: Optional[object] = None
         for index in range(max(start, 1), stop + 1):
             if projected:
                 # Full signature, not just the state: an action emitted
                 # between two durably-identical payments still makes
                 # their crashes observably different.
-                fp: Tuple = self.signature_at(index)
+                fp: object = self.signature_at(index)
             else:
-                fp = (self.fingerprints[index - 1],)
+                fp = self.fingerprint_at(index)
             if last_fp is None or fp != last_fp:
                 out.append(index)
                 last_fp = fp

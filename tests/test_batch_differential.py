@@ -431,7 +431,7 @@ class TestDivergenceAndRejoin:
             ids, perturb={1: schedule})
 
         device, runtime = server.build_device(1, wire, 2, plan)
-        CrashScheduleRunner(schedule, record=False).bind(device)
+        CrashScheduleRunner(schedule, record_from=None).bind(device)
         result = device.run(runtime, runs=plan.runs,
                             max_time_s=plan.max_time_s,
                             max_reboots=plan.max_reboots)
@@ -472,7 +472,7 @@ class TestDivergenceAndRejoin:
         assert lane.rejoin_boundary == 1
 
         device, runtime = server.build_device(2, wire, 2, plan)
-        CrashScheduleRunner((), record=False).bind(device)
+        CrashScheduleRunner((), record_from=None).bind(device)
         result = device.run(runtime, runs=plan.runs,
                             max_time_s=plan.max_time_s,
                             max_reboots=plan.max_reboots)
@@ -493,9 +493,9 @@ class TestDivergenceAndRejoin:
         for device_id in ids:
             device, runtime = server.build_device(device_id, wire, 2, plan)
             if device_id == 1:
-                CrashScheduleRunner((5,), record=False).bind(device)
+                CrashScheduleRunner((5,), record_from=None).bind(device)
             elif device_id == 2:
-                CrashScheduleRunner((), record=False).bind(device)
+                CrashScheduleRunner((), record_from=None).bind(device)
             result = device.run(runtime, runs=plan.runs,
                                 max_time_s=plan.max_time_s,
                                 max_reboots=plan.max_reboots)
