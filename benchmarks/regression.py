@@ -27,6 +27,7 @@ import json
 import multiprocessing
 import os
 import platform
+import string
 import sys
 import tempfile
 import time
@@ -414,7 +415,15 @@ def collect_metrics() -> Dict[str, float]:
 
 
 def baseline_path_for_today() -> Path:
-    return BENCH_DIR / f"BENCH_{datetime.date.today().isoformat()}.json"
+    """``BENCH_<today>.json``, or the first free ``BENCH_<today>b.json``,
+    ``c``, ... when today already has one: a recorded baseline is never
+    overwritten, and the newest still sorts last."""
+    today = datetime.date.today().isoformat()
+    for suffix in ("", *string.ascii_lowercase[1:]):
+        path = BENCH_DIR / f"BENCH_{today}{suffix}.json"
+        if not path.exists():
+            return path
+    raise RuntimeError(f"no free baseline name left for {today}")
 
 
 def latest_baseline() -> Optional[Path]:

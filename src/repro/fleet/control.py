@@ -584,16 +584,25 @@ def _run_sync(coro):
     Callers inside a running event loop (tests driving the plane from
     async code) get a private loop on a helper thread instead of a
     nested-loop error.
+
+    The value travels in a box, not as the main task's result: on the
+    main thread ``asyncio.run`` formats the finished task while it
+    restores the SIGINT handler, and that would repr a whole report.
     """
+    box: Dict[str, Any] = {}
+
+    async def main() -> None:
+        box["value"] = await coro
+
     try:
         asyncio.get_running_loop()
     except RuntimeError:
-        return asyncio.run(coro)
-    box: Dict[str, Any] = {}
+        asyncio.run(main())
+        return box["value"]
 
     def runner() -> None:
         try:
-            box["value"] = asyncio.run(coro)
+            asyncio.run(main())
         except BaseException as exc:  # re-raised below, on the caller
             box["error"] = exc
 
@@ -737,9 +746,15 @@ class ControlPlane:
 
     async def _streamed_wave(self, index: int, ids: List[int],
                              wire: Optional[bytes], version: int):
-        """One wave, streamed: treatment + paired control produced
-        concurrently through the bounded queue into the registry, gate
-        decision at stream end over the received rows."""
+        """One wave, streamed: treatment + paired control as two
+        producers feeding the bounded queue into the registry, gate
+        decision at stream end over the received rows.
+
+        The producers are gathered, but on the pool (``jobs > 1``) the
+        arms do not overlap: both call :meth:`PersistentPool.run`, which
+        holds the pool's lock for a whole run, so one arm's devices
+        execute after the other's and the waiting arm's lock wait counts
+        as its run time."""
         cfg = self.config
         make = self.task_factory
         tasks = {

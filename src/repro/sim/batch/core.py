@@ -54,13 +54,15 @@ from __future__ import annotations
 
 import copy
 import hashlib
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.monitor import tap_machine_ops
 from repro.errors import FleetError, PowerFailure
 from repro.fleet.telemetry import DeviceTelemetry, FleetSummary, aggregate
 from repro.sim.batch.fsm import BatchMachineSet
-from repro.sim.batch.layout import BatchArrays, SoAImage, resolve_backend
+from repro.sim.batch.layout import (BatchArrays, SoAImage, group_lanes,
+                                    resolve_backend)
 from repro.sim.experiments import Sweep
 from repro.sim.tracer import Tracer
 
@@ -155,9 +157,14 @@ class _BoundaryLedger:
 
 
 class CohortRun:
-    """Everything one cohort's representative run produced."""
+    """Everything one cohort's representative run produced.
 
-    def __init__(self, key, device_ids: List[int], row: Dict[str, Any],
+    ``device_ids`` are the members in ascending order (an int64 array on
+    the numpy backend); ``diverged`` lists the members that left
+    lockstep and have their own :class:`LaneResult`.
+    """
+
+    def __init__(self, key, device_ids: Sequence[int], row: Dict[str, Any],
                  device=None, runtime=None, ledger: Optional[_BoundaryLedger] = None,
                  nvm_image: Optional[SoAImage] = None, from_cache: bool = False):
         self.key = key
@@ -168,6 +175,7 @@ class CohortRun:
         self.ledger = ledger
         self.nvm_image = nvm_image
         self.from_cache = from_cache
+        self.diverged: List[int] = []
 
 
 class LaneResult:
@@ -195,9 +203,8 @@ class BatchResult:
     not bitwise — multiplication replaces repeated addition).
     """
 
-    def __init__(self, device_ids: List[int], backend: str):
+    def __init__(self, device_ids: Sequence[int], backend: str):
         self.device_ids = list(device_ids)
-        self.lane_of = {d: i for i, d in enumerate(self.device_ids)}
         self.backend = backend
         self.cohorts: List[CohortRun] = []
         self.lanes: Dict[int, LaneResult] = {}
@@ -210,7 +217,19 @@ class BatchResult:
             self.arrays.add_column(name, dtype)
 
     # ------------------------------------------------------------------
-    def _fill_lanes(self, row: Dict[str, Any], lanes: List[int],
+    @cached_property
+    def lane_of(self) -> Dict[int, int]:
+        """Device id -> lane, built on first use: only divergent lanes
+        need it, never a wave that stays in lockstep."""
+        return {d: i for i, d in enumerate(self.device_ids)}
+
+    @cached_property
+    def _cohort_of(self) -> Dict[int, CohortRun]:
+        """Device id -> cohort, built on the first per-device lookup."""
+        return {d: cohort for cohort in self.cohorts
+                for d in cohort.device_ids}
+
+    def _fill_lanes(self, row: Dict[str, Any], lanes: Any,
                     soc_j: float, retries: int) -> None:
         for name, _ in _SOA_COLUMNS:
             if name == "soc_j":
@@ -226,9 +245,9 @@ class BatchResult:
         as singleton rows — the amortized rollup's input."""
         out: List[Tuple[Dict[str, Any], int]] = []
         for cohort in self.cohorts:
-            plain = [d for d in cohort.device_ids if d not in self.lanes]
+            plain = len(cohort.device_ids) - len(cohort.diverged)
             if plain:
-                out.append((cohort.row, len(plain)))
+                out.append((cohort.row, plain))
         for lane in self.lanes.values():
             out.append((lane.row, 1))
         return out
@@ -236,15 +255,10 @@ class BatchResult:
     def expand(self) -> List[DeviceTelemetry]:
         """Per-device telemetry in input order, byte-identical to the
         scalar path (each lane's row restamped with its device id)."""
-        by_id: Dict[int, Dict[str, Any]] = {}
-        for cohort in self.cohorts:
-            for device_id in cohort.device_ids:
-                if device_id not in self.lanes:
-                    by_id[device_id] = cohort.row
         out = []
         for device_id in self.device_ids:
             lane = self.lanes.get(device_id)
-            row = lane.row if lane is not None else by_id[device_id]
+            row = lane.row if lane is not None else self._cohort_of[device_id].row
             row = dict(row, device_id=device_id)
             out.append(DeviceTelemetry.from_row(row))
         return out
@@ -261,19 +275,17 @@ class BatchResult:
         lane = self.lanes.get(device_id)
         if lane is not None:
             return lane.nvm_image
-        for cohort in self.cohorts:
-            if device_id in cohort.device_ids:
-                return cohort.nvm_image
-        return None
+        cohort = self._cohort_of.get(device_id)
+        return cohort.nvm_image if cohort is not None else None
 
     def trace_events_for(self, device_id: int) -> Optional[list]:
         lane = self.lanes.get(device_id)
         if lane is not None:
             return lane.trace_events
-        for cohort in self.cohorts:
-            if device_id in cohort.device_ids and cohort.device is not None:
-                return list(cohort.device.trace.events)
-        return None
+        cohort = self._cohort_of.get(device_id)
+        if cohort is None or cohort.device is None:
+            return None
+        return list(cohort.device.trace.events)
 
 
 def weighted_summary(rows: Sequence[Tuple[Dict[str, Any], int]]) -> FleetSummary:
@@ -372,7 +384,11 @@ class BatchFleetCore:
                 f"base={hashlib.sha256(self.server.base_spec.encode()).hexdigest()[:16]})")
 
     # ------------------------------------------------------------------
-    def cohort_key(self, device_id: int):
+    def cohort_key(self, device_id):
+        """The cohort of ``device_id``: its energy class under
+        ``per_cohort`` seeding, the device itself otherwise. Elementwise
+        on an int64 id array, which is how :func:`group_lanes`
+        partitions a wave on the numpy backend."""
         if getattr(self.plan, "seed_mode", "per_device") == "per_cohort":
             return device_id % 4
         return device_id
@@ -436,32 +452,32 @@ class BatchFleetCore:
                 through the vectorized FSM kernel across the cohort's
                 lanes and self-check against the scalar stores.
         """
-        ids = list(device_ids)
-        if not ids:
+        result = BatchResult(device_ids, backend=self.backend)
+        if not result.device_ids:
             raise FleetError("batched wave needs at least one device")
         perturb = dict(perturb or {})
-        unknown = set(perturb) - set(ids)
+        unknown = sorted(d for d in perturb if d not in result.lane_of)
         if unknown:
-            raise FleetError(f"perturbed devices not in wave: {sorted(unknown)}")
+            raise FleetError(f"perturbed devices not in wave: {unknown}")
+        diverging: Dict[Any, List[int]] = {}
+        for device_id in sorted(perturb):
+            diverging.setdefault(self.cohort_key(device_id), []).append(device_id)
 
-        cohorts: Dict[Any, List[int]] = {}
-        for device_id in ids:
-            cohorts.setdefault(self.cohort_key(device_id), []).append(device_id)
-        result = BatchResult(ids, backend=self.backend)
-
+        # (key, ascending members, their lanes) per cohort, in key order;
+        # each cohort's lanes fill every SoA column as one index array.
+        cohorts = group_lanes(result.device_ids, self.cohort_key, self.backend)
         layout_token = result.arrays.layout_token()
-        reps = [min(members) for members in cohorts.values()]
-        sweep = self._sweep_for(sorted(reps), layout_token)
+        sweep = self._sweep_for(sorted(int(members[0])
+                                       for _, members, _ in cohorts),
+                                layout_token)
 
         if jobs and jobs > 1 and not perturb and not kernel_check:
             rows = sweep.run(parallel=jobs, cache=cache)
             rows_by_rep = {row["device_id"]: row for row in rows}
-            for key in sorted(cohorts, key=repr):
-                members = sorted(cohorts[key])
-                row = dict(rows_by_rep[min(members)])
+            for key, members, lanes in cohorts:
+                row = dict(rows_by_rep[int(members[0])])
                 cohort = CohortRun(key, members, row, from_cache=True)
                 result.cohorts.append(cohort)
-                lanes = [result.lane_of[d] for d in members]
                 result._fill_lanes(row, lanes, soc_j=0.0,
                                    retries=int(row.get("task_retries", 0) or 0))
             return result
@@ -471,10 +487,9 @@ class BatchFleetCore:
         cache = _normalize_cache(cache)
         fingerprint = sweep_fingerprint(sweep) if cache is not None else None
 
-        for key in sorted(cohorts, key=repr):
-            members = sorted(cohorts[key])
-            rep_id = min(members)
-            divergent = [d for d in members if d in perturb]
+        for key, members, lanes in cohorts:
+            rep_id = int(members[0])
+            divergent = diverging.get(key, [])
             point = {"device_id": rep_id}
             cached_row = None
             if cache is not None and not divergent:
@@ -483,7 +498,6 @@ class BatchFleetCore:
                 cohort = CohortRun(key, members, dict(cached_row),
                                    from_cache=True)
                 result.cohorts.append(cohort)
-                lanes = [result.lane_of[d] for d in members]
                 result._fill_lanes(cohort.row, lanes, soc_j=0.0,
                                    retries=int(cohort.row.get("task_retries", 0) or 0))
                 continue
@@ -492,16 +506,16 @@ class BatchFleetCore:
             result.cohorts.append(cohort)
             if cache is not None:
                 cache.put(cache.key_for(fingerprint, point), cohort.row)
-            plain_lanes = [result.lane_of[d] for d in members
-                           if d not in perturb]
+            # Divergent lanes are overwritten with their own rows below.
             result._fill_lanes(
-                cohort.row, plain_lanes,
+                cohort.row, lanes,
                 soc_j=self._finite(cohort.device.env.usable_energy()),
                 retries=int(cohort.device.result.task_retries))
             for device_id in divergent:
                 lane = self._run_divergent_lane(device_id, perturb[device_id],
                                                 cohort)
                 result.lanes[device_id] = lane
+                cohort.diverged.append(device_id)
                 result._fill_lanes(lane.row, [result.lane_of[device_id]],
                                    soc_j=0.0,
                                    retries=int(lane.row.get("task_retries", 0) or 0))

@@ -21,12 +21,15 @@ Two containers live here:
   after the round trip). The batched core uses it to share one final
   NVM image across a cohort's lanes, and the journal property tests use
   it to prove that commit/recovery behaves identically on imaged state.
+
+:func:`group_lanes` partitions a wave's lane axis into cohorts: one
+vectorized key computation and one stable sort on the numpy backend.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.nvm.memory import NonVolatileMemory
@@ -121,20 +124,14 @@ class BatchArrays:
     def set(self, name: str, lane: int, value: Any) -> None:
         self.column(name)[lane] = value
 
-    def fill(self, name: str, value: Any,
-             lanes: Optional[List[int]] = None) -> None:
-        """Assign ``value`` to every lane (or just ``lanes``)."""
+    def fill(self, name: str, value: Any, lanes: Optional[Any] = None) -> None:
+        """Assign ``value`` to every lane (or just ``lanes``: a lane list,
+        or the index array :func:`group_lanes` returns, used as is)."""
         col = self.column(name)
-        if lanes is None:
-            if self.backend == "numpy":
-                col[:] = value
-            else:
-                for i in range(self.n_lanes):
-                    col[i] = value
-        elif self.backend == "numpy":
-            col[_np.asarray(lanes, dtype=_np.intp)] = value
+        if self.backend == "numpy":
+            col[slice(None) if lanes is None else lanes] = value
         else:
-            for i in lanes:
+            for i in range(self.n_lanes) if lanes is None else lanes:
                 col[i] = value
 
     def tolist(self, name: str) -> List[Any]:
@@ -156,6 +153,38 @@ class BatchArrays:
     def __repr__(self) -> str:
         return (f"BatchArrays(lanes={self.n_lanes}, backend={self.backend}, "
                 f"columns={len(self._columns)})")
+
+
+def group_lanes(ids: Sequence[int], key: Callable[[Any], Any],
+                backend: str) -> List[Tuple[Any, Any, Any]]:
+    """Partition a wave's lanes (lane ``i`` holds device ``ids[i]``) by
+    ``key``.
+
+    Returns ``(key, members, lanes)`` per group, groups in ``repr``
+    order of their key, ``members`` in ascending id order and
+    ``lanes[j]`` the lane of ``members[j]``. On the numpy backend
+    ``key`` is called once, on the whole int64 id array (it must work
+    elementwise, as ``device_id % 4`` does), and one stable sort groups
+    the lanes; ``members`` and ``lanes`` are then arrays, ready for
+    :meth:`BatchArrays.fill`. The python backend calls ``key`` per id
+    and returns lists.
+    """
+    if backend == "numpy":
+        id_arr = _np.fromiter(ids, dtype=_np.int64, count=len(ids))
+        keys = _np.asarray(key(id_arr))
+        order = _np.lexsort((id_arr, keys))
+        sorted_keys = keys[order]
+        starts = _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        groups = [(keys[lanes[0]].item(), id_arr[lanes], lanes)
+                  for lanes in _np.split(order, starts)]
+    else:
+        by_key: Dict[Any, Tuple[List[int], List[int]]] = {}
+        for device_id, lane in sorted(zip(ids, range(len(ids)))):
+            members, lanes = by_key.setdefault(key(device_id), ([], []))
+            members.append(device_id)
+            lanes.append(lane)
+        groups = [(k, members, lanes) for k, (members, lanes) in by_key.items()]
+    return sorted(groups, key=lambda group: repr(group[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from repro.sim.batch import (
     run_with_boundaries,
     weighted_summary,
 )
+from repro.sim.batch.layout import group_lanes
 from repro.statemachine.interpreter import MachineInstance
 from repro.statemachine.model import (
     BinOp,
@@ -503,6 +504,79 @@ class TestDivergenceAndRejoin:
                 device_id, device, result, runtime))
         assert batch.summary() == aggregate(reports)
         assert batch.expand() == reports
+
+
+class TestLaneBookkeeping:
+    """Cohort partition and lane bookkeeping for waves whose ids are
+    shuffled, offset and non-contiguous, on each backend: lane ``i``
+    must always be device ``ids[i]``."""
+
+    IDS = [13, 2, 7, 40, 5, 22, 9, 31]
+    PERTURB = {7: (5,)}
+
+    @pytest.mark.parametrize("seed_mode", ["per_cohort", "per_device"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_arbitrary_wave_ids(self, server, backend, seed_mode):
+        plan = _plan(seed_mode=seed_mode)
+        wire = server.encode_update(FLEET_SPEC_V2, 2,
+                                    use_delta=plan.use_delta)
+        core = BatchFleetCore(server, wire, 2, plan, backend=backend)
+        batch = core.run(self.IDS, perturb=self.PERTURB)
+        assert batch.device_ids == self.IDS
+        assert list(batch.lanes) == list(self.PERTURB)
+
+        groups = {}
+        for device_id in self.IDS:
+            groups.setdefault(core.cohort_key(device_id), []).append(device_id)
+        assert [c.key for c in batch.cohorts] == sorted(groups, key=repr)
+        for cohort in batch.cohorts:
+            assert list(cohort.device_ids) == sorted(groups[cohort.key])
+        assert sum(count for _, count in batch.rows()) == len(self.IDS)
+
+        expanded = batch.expand()
+        for lane, device_id in enumerate(self.IDS):
+            report = expanded[lane]
+            assert report.device_id == device_id
+            for name in batch.arrays.columns():
+                if name in DeviceTelemetry.__dataclass_fields__:
+                    assert (batch.arrays.get(name, lane)
+                            == getattr(report, name)), (device_id, name)
+
+            device, runtime = server.build_device(device_id, wire, 2, plan)
+            if device_id in self.PERTURB:
+                CrashScheduleRunner(self.PERTURB[device_id],
+                                    record_from=None).bind(device)
+            result = device.run(runtime, runs=plan.runs,
+                                max_time_s=plan.max_time_s,
+                                max_reboots=plan.max_reboots)
+            assert report == DeviceTelemetry.from_device(
+                device_id, device, result, runtime)
+            assert (batch.arrays.get("task_retries", lane)
+                    == result.task_retries)
+            assert batch.trace_events_for(device_id) == device.trace.events
+            image = batch.nvm_image_for(device_id)
+            assert image.fingerprint() == device.nvm.state_fingerprint()
+        assert batch.nvm_image_for(1) is None
+        assert batch.trace_events_for(1) is None
+
+    @pytest.mark.parametrize("seed_mode", ["per_cohort", "per_device"])
+    @given(ids=st.lists(st.integers(min_value=0, max_value=10**6),
+                        min_size=1, max_size=60, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_vectorized_partition_agrees_with_cohort_key(self, server,
+                                                         seed_mode, ids):
+        core = BatchFleetCore(server, None, 2, _plan(seed_mode=seed_mode))
+        reference = {}
+        for lane, device_id in enumerate(ids):
+            reference.setdefault(core.cohort_key(device_id), []).append(
+                (device_id, lane))
+        want = [(key, [d for d, _ in sorted(reference[key])],
+                 [lane for _, lane in sorted(reference[key])])
+                for key in sorted(reference, key=repr)]
+        for backend in BACKENDS:
+            got = [(key, list(members), list(lanes)) for key, members, lanes
+                   in group_lanes(ids, core.cohort_key, backend)]
+            assert got == want, backend
 
 
 # ---------------------------------------------------------------------------

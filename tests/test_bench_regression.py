@@ -126,6 +126,15 @@ class TestMainAndBaselines:
             (tmp_path / name).write_text(json.dumps({"metrics": GOOD}))
         assert regression.latest_baseline().name == "BENCH_2026-03-05.json"
 
+    def test_second_baseline_of_a_day_gets_a_new_name(self, regression,
+                                                      tmp_path, monkeypatch):
+        monkeypatch.setattr(regression, "BENCH_DIR", tmp_path)
+        first = regression.write_baseline(dict(GOOD))
+        second = regression.write_baseline(dict(GOOD))
+        assert first.exists() and second.exists()
+        assert second.name == first.name.replace(".json", "b.json")
+        assert regression.latest_baseline() == second
+
     def test_wider_tolerance_accepts_the_same_delta(self, regression,
                                                     tmp_path):
         baseline = tmp_path / "BENCH_2026-01-01.json"

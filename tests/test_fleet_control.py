@@ -5,6 +5,8 @@ equivalence, and the always-on serve loop
 
 import asyncio
 import math
+import signal
+import threading
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.fleet.server import (
     FLEET_SPEC_V2,
     FleetServer,
     RolloutPlan,
+    RolloutReport,
 )
 from repro.fleet.telemetry import DeviceTelemetry
 
@@ -335,3 +338,23 @@ class TestServeLoop:
 
         report = asyncio.run(driver())
         assert len(report.cycles) == 1
+
+    def test_run_sync_never_reprs_the_report(self, small_plan, monkeypatch):
+        """A main-thread rollout must not format its report. While it
+        restores the SIGINT handler, ``asyncio.run`` formats the finished
+        main task, and with it the task's result; at fleet scale that is
+        the repr of every wave's device-id list."""
+        assert threading.current_thread() is threading.main_thread()
+        # asyncio.run only swaps the handler when it is Python's default.
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        calls = []
+        monkeypatch.setattr(
+            RolloutReport, "__repr__",
+            lambda report: calls.append(report) or "RolloutReport(...)")
+        try:
+            plane = ControlPlane(FleetServer(), plan=small_plan, jobs=1)
+            report = plane.run_rollout(FLEET_SPEC_V2, 4)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert report.ok
+        assert calls == []
