@@ -55,14 +55,11 @@ METRIC_DIRECTIONS: Dict[str, str] = {
     "conformance_schedules_per_s": "higher",
     "predict_monitors_per_s": "higher",
     "tl_monitors_per_s": "higher",
-    # Legacy fork-per-call pool wall time over persistent-pool wall time
-    # on the same sweep: what keeping workers alive buys. Dimensionless,
-    # so it gates even on a single-core box (where parallel-vs-serial is
-    # a fork-overhead *slowdown* and stays informational below).
-    "parallel_speedup": "higher",
+    # Persistent-pool wall time and its ratio to serial: core-count
+    # dependent (a single-core box pays IPC with no parallel hardware
+    # to recoup it), so informational only.
     "parallel_vs_serial": "info",
     "sweep_serial_s": "info",
-    "sweep_fork_s": "info",
     "sweep_parallel_s": "info",
     "sweep_cache_warm_s": "info",
 }
@@ -148,15 +145,12 @@ def _bench_sweep():
 
 
 def _measure_sweep(jobs: int = 4) -> Dict[str, float]:
-    """Wall time of a small health-workload sweep: serial, legacy
-    fork-per-call pool, persistent pool, and cache-warm, plus the
-    derived ratios and hit rate.
+    """Wall time of a small health-workload sweep: serial, persistent
+    pool, and cache-warm, plus the derived ratios and hit rate.
 
-    ``parallel_speedup`` is fork-pool time over persistent-pool time at
-    the same job count — the fork/import tax the persistent pool
-    amortizes away. ``parallel_vs_serial`` (persistent vs in-process
-    serial) is informational: on a single-core host it hovers near or
-    below 1.0 because there is no parallel hardware to pay for the IPC.
+    ``parallel_vs_serial`` (persistent pool vs in-process serial) is
+    informational: on a single-core host it hovers near or below 1.0
+    because there is no parallel hardware to pay for the IPC.
     """
     from repro.sim.pool import ResultCache, run_sweep, shutdown_pools
 
@@ -179,20 +173,15 @@ def _measure_sweep(jobs: int = 4) -> Dict[str, float]:
 
     metrics: Dict[str, float] = {"sweep_serial_s": serial_s}
     if "fork" in multiprocessing.get_all_start_methods():
-        fork_s, fork_rows = best_of(
-            2, lambda: run_sweep(sweep, jobs=jobs, strategy="fork"))
         # Three runs so the steady state (workers already forked)
-        # dominates the minimum — persistence is the thing measured.
+        # dominates the minimum.
         persistent_s, persistent_rows = best_of(
             3, lambda: run_sweep(sweep, jobs=jobs, strategy="persistent"))
         shutdown_pools()
-        if fork_rows != serial_rows or persistent_rows != serial_rows:
+        if persistent_rows != serial_rows:
             raise AssertionError("parallel sweep produced a different table")
         metrics.update({
-            "sweep_fork_s": fork_s,
             "sweep_parallel_s": persistent_s,
-            "parallel_speedup": fork_s / persistent_s if persistent_s
-            else 0.0,
             "parallel_vs_serial": serial_s / persistent_s if persistent_s
             else 0.0,
         })

@@ -8,7 +8,7 @@ completes by skipping the path after three attempts.
 
 from conftest import print_table, run_grid, run_once
 
-from repro.sim.experiments import Sweep
+from repro.sim.experiments import Sweep, metric_completed, metric_total_time
 from repro.workloads.health import (
     build_artemis,
     build_mayfly,
@@ -19,19 +19,25 @@ DELAYS_MIN = list(range(1, 11))
 CAP_S = 4 * 3600.0  # non-termination cutoff: 4 simulated hours
 
 
+# Module-level build and metrics, so ``REPRO_BENCH_JOBS`` can shard the
+# grid: the persistent pool only runs picklable sweeps.
 def _build(point):
     device = make_intermittent_device(point["minutes"] * 60.0)
     builder = build_artemis if point["system"] == "artemis" else build_mayfly
     return device, builder(device)
 
 
+def _skips(dev, res):
+    return dev.trace.count("path_skip")
+
+
 GRID = Sweep(
     factors={"minutes": DELAYS_MIN, "system": ["artemis", "mayfly"]},
     build=_build,
     metrics={
-        "completed": lambda dev, res: res.completed,
-        "time_s": lambda dev, res: res.total_time_s,
-        "skips": lambda dev, res: dev.trace.count("path_skip"),
+        "completed": metric_completed,
+        "time_s": metric_total_time,
+        "skips": _skips,
     },
     max_time_s=CAP_S,
 )

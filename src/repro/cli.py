@@ -69,6 +69,7 @@ tasks without one are cost-model-only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -119,7 +120,12 @@ from repro.taskgraph.task import Task
 def load_app(path: str) -> Application:
     """Build an :class:`Application` from a JSON description file."""
     with open(path) as handle:
-        desc = json.load(handle)
+        return app_from_desc(json.load(handle), Path(path).stem)
+
+
+def app_from_desc(desc: dict, default_name: str) -> Application:
+    """Build an :class:`Application` from a parsed JSON description;
+    ``default_name`` names it when the description does not."""
     declared_sensors = desc.get("sensors", {})
 
     def _sensing_body(sensor, channel):
@@ -144,14 +150,18 @@ def load_app(path: str) -> Application:
         name: (lambda t, _v=value: _v)
         for name, value in desc.get("sensors", {}).items()
     }
-    return Application(desc.get("name", Path(path).stem), tasks, paths,
+    return Application(desc.get("name", default_name), tasks, paths,
                        sensors=sensors)
 
 
 def load_power(path: str) -> PowerModel:
     """Per-task costs from the app JSON's ``costs`` table."""
     with open(path) as handle:
-        desc = json.load(handle)
+        return power_from_desc(json.load(handle))
+
+
+def power_from_desc(desc: dict) -> PowerModel:
+    """Per-task costs from a parsed app description's ``costs`` table."""
     costs = {
         name: TaskCost(
             entry["duration_s"],
@@ -409,6 +419,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if result.completed else 2
 
 
+def _sweep_point(app_desc: dict, app_name: str, spec: str, frontend: str,
+                 point: dict):
+    """The ``sweep`` subcommand's per-point build. ``cmd_sweep`` binds
+    the app description and spec *text*, not paths, in a partial: it
+    pickles for the pool, and editing either file changes the cache key."""
+    app = app_from_desc(app_desc, app_name)
+    if frontend == "mayfly":
+        props = load_mayfly_properties(spec, app)
+    else:
+        props = load_properties(spec, app)
+    power = power_from_desc(app_desc)
+    if point["delay_s"] > 0:
+        env = EnergyEnvironment.for_charging_delay(
+            point["delay_s"], default_capacitor())
+    else:
+        env = EnergyEnvironment.continuous()
+    device = Device(env, seed=point["seed"])
+    runtime = ArtemisRuntime(app, props, device, power)
+    return device, runtime
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run the ``sweep`` subcommand; returns the process exit code.
 
@@ -420,28 +451,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
     if not delays or not seeds:
         raise RuntimeConfigError("--delays and --seeds need at least one value")
-    app_path, spec_path = args.app, args.spec
-    frontend = args.frontend
-
-    def build(point):
-        # Everything is rebuilt from the input files per point, so a
-        # worker process shares no mutable state with its siblings.
-        app = load_app(app_path)
-        source = _read_spec(spec_path)
-        if frontend == "mayfly":
-            props = load_mayfly_properties(source, app)
-        else:
-            props = load_properties(source, app)
-        power = load_power(app_path)
-        if point["delay_s"] > 0:
-            env = EnergyEnvironment.for_charging_delay(
-                point["delay_s"], default_capacitor())
-        else:
-            env = EnergyEnvironment.continuous()
-        device = Device(env, seed=point["seed"])
-        runtime = ArtemisRuntime(app, props, device, power)
-        return device, runtime
-
+    with open(args.app) as handle:
+        app_desc = json.load(handle)
+    build = functools.partial(_sweep_point, app_desc, Path(args.app).stem,
+                              _read_spec(args.spec), args.frontend)
     sweep = Sweep(
         factors={"delay_s": delays, "seed": seeds},
         build=build,

@@ -45,14 +45,12 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-import repro
 from repro.errors import FleetError
 from repro.fleet.digest import WindowedRollup
 from repro.fleet.server import (
@@ -69,12 +67,12 @@ from repro.fleet.telemetry import (
 )
 from repro.sim.experiments import SweepPointError
 from repro.sim.pool import (
-    _CACHE_FORMAT,
     PoolItemError,
     _fork_available,
     _normalize_cache,
-    _source_tree_stamp,
+    fingerprint_hasher,
     get_pool,
+    portable,
 )
 
 #: Backpressure policies a :class:`TelemetryQueue` supports.
@@ -399,10 +397,7 @@ class WaveTask:
     def fingerprint(self) -> str:
         """Cache fingerprint: everything besides the device id that
         determines the row (code tree, specs, wire blob, plan)."""
-        h = hashlib.sha256()
-        h.update(f"format={_CACHE_FORMAT};".encode())
-        h.update(f"version={getattr(repro, '__version__', '?')};".encode())
-        h.update(_source_tree_stamp().encode())
+        h = fingerprint_hasher()
         h.update(type(self).__qualname__.encode())
         h.update(hashlib.sha256(self.base_spec.encode()).digest())
         h.update(b"none" if self.wire is None
@@ -461,22 +456,46 @@ class ChaosWaveTask(WaveTask):
 # ---------------------------------------------------------------------------
 
 
-class TelemetryGate:
-    """Promote/halt decision over a wave's ingested telemetry.
+#: Gate evidence: a treated report, its paired control report, and how
+#: many devices the pair stands for.
+GatePair = Tuple[DeviceTelemetry, DeviceTelemetry, int]
 
-    The signal is the batch path's paired-control delta — computed from
-    the reports the consumer actually received (under ``block`` that is
-    all of them, so the decision is byte-identical to batch; under
-    ``shed_oldest`` it is an honest decision over the surviving
-    sample).
+
+def _violations(t: DeviceTelemetry) -> int:
+    return t.violations_before + t.violations_after
+
+
+def _device_pairs(telemetry: List[DeviceTelemetry],
+                  control: List[DeviceTelemetry]) -> List[GatePair]:
+    """Per-device gate pairs (weight 1), matched by device id; a device
+    without a control report is left out."""
+    by_id = {c.device_id: c for c in control}
+    return [(t, by_id[t.device_id], 1) for t in telemetry
+            if t.device_id in by_id]
+
+
+class TelemetryGate:
+    """Promote/halt decision over a wave's paired-control evidence.
+
+    Treatment and control simulate the *same* device, once offered the
+    update and once not, so their difference is the update's effect,
+    not an artifact of when the download finished. The signal is the
+    weighted mean per-run violation increase over :data:`GatePair`
+    triples: one per device with weight 1, or one per cohort weighted by
+    its lane count (compact lockstep waves). The streamed plane pairs
+    the reports it received: under ``block`` all of them; under
+    ``shed_oldest`` the survivors.
     """
 
     def __init__(self, plan: RolloutPlan):
         self.plan = plan
 
-    def decide(self, telemetry: List[DeviceTelemetry],
-               control: List[DeviceTelemetry]) -> Tuple[float, bool]:
-        delta = FleetServer._paired_delta(telemetry, control, self.plan)
+    def decide(self, pairs: Iterable[GatePair]) -> Tuple[float, bool]:
+        runs = max(1, self.plan.runs)
+        pairs = list(pairs)
+        weight = sum(w for _, _, w in pairs)
+        delta = (sum(w * (_violations(t) - _violations(c)) / runs
+                     for t, c, w in pairs) / weight if weight else 0.0)
         return delta, delta > self.plan.halt_threshold
 
 
@@ -619,7 +638,7 @@ class ControlPlane:
 
     Args:
         server: the :class:`FleetServer` that builds devices and wire
-            blobs (and whose paired-delta semantics the gate reuses).
+            blobs.
         plan: rollout policy (waves, thresholds, OTA link shape).
         jobs: worker processes for wave execution (1 = in-process).
         cache: optional content-addressed row cache (same values
@@ -697,27 +716,26 @@ class ControlPlane:
             self._emit("wave_start", wave=index, devices=len(ids),
                        version=version)
             if plan.lockstep:
-                telemetry, control, summary, delta, rows = \
-                    self.server._run_wave_lockstep(ids, wire, version, plan,
-                                                   self.cache)
+                telemetry, control, summary, pairs, rows = \
+                    self._lockstep_wave(ids, wire, version)
                 compact_rows.extend(rows)
                 any_compact = any_compact or not telemetry
                 queue_stats: Dict[str, int] = {}
                 windows: List[Dict[str, Any]] = []
-                halted = delta > plan.halt_threshold
             else:
-                telemetry, control, summary, delta, halted, queue_stats, \
+                telemetry, control, summary, pairs, queue_stats, \
                     windows = await self._streamed_wave(index, ids, wire,
                                                         version)
+            delta, halted = self.gate.decide(pairs)
             decision = ("halt" if halted else
                         "complete" if index + 1 == len(boundaries)
                         else "promote")
             rollback = 0
             if halted:
-                rollback = sum(
-                    1 for w in report.waves for t in w.telemetry
-                    if t.installed) + sum(1 for t in telemetry
-                                          if t.installed)
+                # From the summaries, not per-device telemetry: a compact
+                # lockstep wave carries none.
+                rollback = summary.installed + sum(
+                    w.summary.installed for w in report.waves)
             self.ledger.append(WaveLedgerEntry(
                 index=index, devices=len(ids),
                 received=summary.devices, regression_delta=delta,
@@ -744,11 +762,42 @@ class ControlPlane:
             report.summary = aggregate(report.all_telemetry())
         return report
 
+    def _lockstep_wave(self, ids: List[int], wire: Optional[bytes],
+                       version: int):
+        """One wave (treatment + paired control) through the batched
+        struct-of-arrays core.
+
+        Waves up to ``plan.expand_limit`` devices expand into per-device
+        telemetry, aggregated and paired exactly as the streamed path
+        does — byte-identical to it. Larger waves stay compact: one row
+        per cohort, the weighted rollup, and one gate pair per cohort
+        weighted by its lane count.
+        """
+        from repro.sim.batch import BatchFleetCore
+
+        plan = self.plan
+        treated = BatchFleetCore(self.server, wire, version, plan).run(
+            ids, cache=self.cache)
+        control = BatchFleetCore(self.server, None, version, plan).run(
+            ids, cache=self.cache)
+        rows = [(dict(row), count) for row, count in treated.rows()]
+        if len(ids) <= plan.expand_limit:
+            telemetry = treated.expand()
+            control_t = control.expand()
+            return (telemetry, control_t, aggregate(telemetry),
+                    _device_pairs(telemetry, control_t), rows)
+        control_rows = {c.key: c.row for c in control.cohorts}
+        pairs = [(DeviceTelemetry.from_row(c.row),
+                  DeviceTelemetry.from_row(control_rows[c.key]),
+                  len(c.device_ids))
+                 for c in treated.cohorts if c.key in control_rows]
+        return [], [], treated.weighted_summary(), pairs, rows
+
     async def _streamed_wave(self, index: int, ids: List[int],
                              wire: Optional[bytes], version: int):
         """One wave, streamed: treatment + paired control as two
-        producers feeding the bounded queue into the registry, gate
-        decision at stream end over the received rows.
+        producers feeding the bounded queue into the registry; the gate
+        pairs are the received rows, matched at stream end.
 
         The producers are gathered, but on the pool (``jobs > 1``) the
         arms do not overlap: both call :meth:`PersistentPool.run`, which
@@ -800,13 +849,12 @@ class ControlPlane:
                      for d in sorted(received["treatment"])]
         control = [DeviceTelemetry.from_row(received["control"][d])
                    for d in sorted(received["control"])]
-        delta, halted = self.gate.decide(telemetry, control)
         summary = aggregate(telemetry)
         if queue.dropped:
             summary = replace(summary, telemetry_dropped=queue.dropped)
         windows = self.registry.merged_rollup().to_rows()
-        return (telemetry, control, summary, delta, halted, queue.stats(),
-                windows)
+        return (telemetry, control, summary,
+                _device_pairs(telemetry, control), queue.stats(), windows)
 
     async def _produce_arm(self, arm: str, task: WaveTask, ids: List[int],
                            queue: TelemetryQueue) -> None:
@@ -841,7 +889,7 @@ class ControlPlane:
         computed: Dict[int, Dict[str, Any]] = {}
         failed: List[int] = list(pending)
         if pending and self.jobs > 1 and _fork_available() \
-                and self._portable(task):
+                and portable(task):
             failed = await self._pool_arm(task, pending, computed, deliver,
                                           loop)
         for device_id in failed:
@@ -894,14 +942,6 @@ class ControlPlane:
                     raise
         raise FleetError(f"device {device_id} failed after "
                          f"{attempts} attempts")  # pragma: no cover
-
-    @staticmethod
-    def _portable(task: Any) -> bool:
-        try:
-            pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-            return True
-        except Exception:
-            return False
 
     # -- always-on serving -------------------------------------------------
     async def _serve(self, n_devices: int, new_spec: Optional[str],

@@ -28,7 +28,7 @@ from repro.errors import FleetError
 from repro.fleet.bundle import build_bundle
 from repro.fleet.device import UpdatableRuntime
 from repro.fleet.install import BundleInstaller
-from repro.fleet.telemetry import DeviceTelemetry, FleetSummary, aggregate
+from repro.fleet.telemetry import DeviceTelemetry, FleetSummary
 from repro.fleet.transport import ChunkLoss, OtaTransport
 from repro.workloads.health import (
     BENCHMARK_SPEC,
@@ -326,9 +326,6 @@ class FleetServer:
         updatable = UpdatableRuntime(runtime, installer, transport)
         if wire is not None:
             updatable.push(wire, new_version)
-        # The sweep's metric extractors only see (device, result); hang
-        # the runtime off the device so telemetry can read the outcome.
-        device._fleet_runtime = updatable
         return device, updatable
 
     # ------------------------------------------------------------------
@@ -362,73 +359,3 @@ class FleetServer:
                              config=config, on_event=on_event)
         return plane.run_rollout(new_spec, n_devices,
                                  new_version=new_version)
-
-    def _run_wave_lockstep(self, ids: List[int], wire: bytes, version: int,
-                           plan: RolloutPlan, cache: Any):
-        """One wave (treatment + paired control) through the batched
-        struct-of-arrays core.
-
-        Waves up to ``plan.expand_limit`` devices come back as expanded
-        per-device telemetry fed through the exact scalar ``aggregate``
-        / ``_paired_delta`` — byte-identical to the scalar path; larger
-        waves stay compact (one row per cohort, weighted rollup).
-        """
-        from repro.sim.batch import BatchFleetCore
-
-        treated = BatchFleetCore(self, wire, version, plan).run(
-            ids, cache=cache)
-        control = BatchFleetCore(self, None, version, plan).run(
-            ids, cache=cache)
-        rows = [(dict(row), count) for row, count in treated.rows()]
-        if len(ids) <= plan.expand_limit:
-            telemetry = treated.expand()
-            control_t = control.expand()
-            return (telemetry, control_t, aggregate(telemetry),
-                    self._paired_delta(telemetry, control_t, plan), rows)
-        summary = treated.weighted_summary()
-        delta = self._paired_delta_batched(treated, control, plan)
-        return [], [], summary, delta, rows
-
-    @staticmethod
-    def _paired_delta_batched(treated, control, plan: RolloutPlan) -> float:
-        """Cohort-weighted paired delta: every device in a cohort is
-        byte-identical to its representative, so one representative
-        pair stands in for the whole cohort with weight = lane count.
-        Degenerates to exactly ``_paired_delta`` for singleton cohorts.
-        """
-        control_rows = {c.key: c.row for c in control.cohorts}
-        num = 0.0
-        den = 0
-        for c in treated.cohorts:
-            crow = control_rows.get(c.key)
-            if crow is None:
-                continue
-            t_v = c.row["violations_before"] + c.row["violations_after"]
-            c_v = crow["violations_before"] + crow["violations_after"]
-            count = len(c.device_ids)
-            num += count * (t_v - c_v) / max(1, plan.runs)
-            den += count
-        return num / den if den else 0.0
-
-    @staticmethod
-    def _paired_delta(telemetry: List[DeviceTelemetry],
-                      control: List[DeviceTelemetry],
-                      plan: RolloutPlan) -> float:
-        """Mean per-run violation increase, paired per device id.
-
-        Treatment and control simulate the *same* device (same id, same
-        energy trace, same provisioned state); their difference is the
-        update's effect — new checking semantics plus the radio's energy
-        cost — not an artifact of when the download happened to finish.
-        """
-        by_id = {t.device_id: t for t in control}
-        deltas = []
-        for t in telemetry:
-            c = by_id.get(t.device_id)
-            if c is None:
-                continue
-            treated = t.violations_before + t.violations_after
-            untreated = c.violations_before + c.violations_after
-            deltas.append((treated - untreated) / max(1, plan.runs))
-        return sum(deltas) / len(deltas) if deltas else 0.0
-

@@ -17,7 +17,7 @@ from repro.sim.analysis import (
 )
 from repro.sim.device import Device
 from repro.sim.experiments import Sweep, SweepPointError, format_rows, pivot
-from repro.sim.pool import ParallelSweep, ResultCache, run_sweep
+from repro.sim.pool import ResultCache, run_sweep
 from repro.sim.result import RunResult
 from repro.sim.tracer import Tracer, TraceEvent
 
@@ -28,7 +28,6 @@ __all__ = [
     "TraceEvent",
     "Sweep",
     "SweepPointError",
-    "ParallelSweep",
     "ResultCache",
     "run_sweep",
     "format_rows",

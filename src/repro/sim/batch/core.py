@@ -44,10 +44,10 @@ the digests apart, and the lane runs scalar to completion. That is not
 a limitation but what byte-equivalence demands; rejoin accelerates
 exactly the perturbations the device fully absorbed.
 
-Cohort-representative rows are keyed into the content-addressed sweep
-cache through the standard :mod:`repro.sim.pool` machinery with the
-batch layout token mixed into the fingerprint, so rows computed under
-one struct-of-arrays layout/dtype can never be replayed under another.
+Cohort-representative rows are keyed into the content-addressed result
+cache of :mod:`repro.sim.pool` by :meth:`BatchFleetCore.cache_fingerprint`,
+which mixes in the struct-of-arrays layout token, so rows computed under
+one layout/dtype or backend can never be replayed under another.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from repro.fleet.telemetry import DeviceTelemetry, FleetSummary, aggregate
 from repro.sim.batch.fsm import BatchMachineSet
 from repro.sim.batch.layout import (BatchArrays, SoAImage, group_lanes,
                                     resolve_backend)
-from repro.sim.experiments import Sweep
+from repro.sim.pool import _normalize_cache, fingerprint_hasher
 from repro.sim.tracer import Tracer
 
 #: Telemetry fields laid out as per-lane struct-of-arrays columns.
@@ -374,9 +374,9 @@ class BatchFleetCore:
         self.backend = resolve_backend(backend)
 
     def __repr__(self) -> str:
-        # The sweep fingerprint hashes closures by repr of their cell
-        # contents; everything that changes a representative's behaviour
-        # must show up here or cached rows could be replayed wrongly.
+        # The cohort-row cache key hashes this repr: everything that
+        # changes a representative's behaviour must show up here or
+        # cached rows could be replayed wrongly.
         wire_tag = (hashlib.sha256(self.wire).hexdigest()[:16]
                     if self.wire is not None else "control")
         return (f"BatchFleetCore(version={self.version}, wire={wire_tag}, "
@@ -394,63 +394,36 @@ class BatchFleetCore:
         return device_id
 
     def _build(self, device_id: int):
-        device, runtime = self.server.build_device(
-            device_id, self.wire, self.version, self.plan)
-        device._fleet_device_id = device_id
-        return device, runtime
+        return self.server.build_device(device_id, self.wire, self.version,
+                                        self.plan)
 
-    def _sweep_for(self, cohort_reps: List[int],
-                   layout_token: str) -> Sweep:
-        """The Sweep whose fingerprint keys cohort rows in the result
-        cache — batch-aware because ``batch_layout`` carries the
-        struct-of-arrays layout token."""
-        core = self
-
-        def build(point):
-            return core._build(point["device_id"])
-
-        def metric(name):
-            def extract(device, result):
-                row = getattr(device, "_fleet_telemetry_row", None)
-                if row is None:
-                    row = DeviceTelemetry.from_device(
-                        device._fleet_device_id, device, result,
-                        device._fleet_runtime).to_row()
-                    device._fleet_telemetry_row = row
-                return row[name]
-            return extract
-
-        return Sweep(
-            factors={"device_id": cohort_reps},
-            build=build,
-            metrics={name: metric(name)
-                     for name in DeviceTelemetry.__dataclass_fields__},
-            runs=self.plan.runs,
-            max_time_s=self.plan.max_time_s,
-            max_reboots=self.plan.max_reboots,
-            batch_layout=layout_token,
-        )
+    def cache_fingerprint(self, layout_token: str) -> str:
+        """Result-cache fingerprint of this core's cohort rows: the
+        shared header, everything that shapes a representative run
+        (``repr(self)``, whose plan carries the run budget), and the
+        struct-of-arrays ``layout_token``, so a row stored under one
+        layout or backend is never served under another."""
+        h = fingerprint_hasher()
+        h.update(f"{self!r};layout={layout_token}".encode())
+        return h.hexdigest()
 
     # ------------------------------------------------------------------
     def run(self, device_ids: Sequence[int], cache: Any = None,
-            jobs: Optional[int] = None,
-            perturb: Optional[Dict[int, Sequence[int]]] = None,
-            kernel_check: bool = True) -> BatchResult:
+            perturb: Optional[Dict[int, Sequence[int]]] = None) -> BatchResult:
         """Simulate ``device_ids`` as a lockstep batch.
 
+        Each cohort's representative replays its monitor stream through
+        the vectorized FSM kernel across the cohort's lanes, self-checked
+        against the scalar stores.
+
         Args:
-            cache: optional sweep result cache (``True``/path/instance).
-            jobs: with ``kernel_check=False`` and no perturbations,
-                shard cohort representatives across a fork pool via the
-                standard :func:`repro.sim.pool.run_sweep`.
+            cache: optional result cache (``True``/path/instance) for
+                cohort-representative rows.
             perturb: ``{device_id: crash schedule}`` — those lanes
                 diverge from the batch into the scalar path (driven by
                 :class:`~repro.verify.schedule.CrashScheduleRunner`)
                 and rejoin at the first run boundary whose state digest
                 matches the ledger.
-            kernel_check: replay each representative's monitor stream
-                through the vectorized FSM kernel across the cohort's
-                lanes and self-check against the scalar stores.
         """
         result = BatchResult(device_ids, backend=self.backend)
         if not result.device_ids:
@@ -466,26 +439,9 @@ class BatchFleetCore:
         # (key, ascending members, their lanes) per cohort, in key order;
         # each cohort's lanes fill every SoA column as one index array.
         cohorts = group_lanes(result.device_ids, self.cohort_key, self.backend)
-        layout_token = result.arrays.layout_token()
-        sweep = self._sweep_for(sorted(int(members[0])
-                                       for _, members, _ in cohorts),
-                                layout_token)
-
-        if jobs and jobs > 1 and not perturb and not kernel_check:
-            rows = sweep.run(parallel=jobs, cache=cache)
-            rows_by_rep = {row["device_id"]: row for row in rows}
-            for key, members, lanes in cohorts:
-                row = dict(rows_by_rep[int(members[0])])
-                cohort = CohortRun(key, members, row, from_cache=True)
-                result.cohorts.append(cohort)
-                result._fill_lanes(row, lanes, soc_j=0.0,
-                                   retries=int(row.get("task_retries", 0) or 0))
-            return result
-
-        from repro.sim.pool import _normalize_cache, sweep_fingerprint
-
         cache = _normalize_cache(cache)
-        fingerprint = sweep_fingerprint(sweep) if cache is not None else None
+        fingerprint = (self.cache_fingerprint(result.arrays.layout_token())
+                       if cache is not None else None)
 
         for key, members, lanes in cohorts:
             rep_id = int(members[0])
@@ -501,8 +457,7 @@ class BatchFleetCore:
                 result._fill_lanes(cohort.row, lanes, soc_j=0.0,
                                    retries=int(cohort.row.get("task_retries", 0) or 0))
                 continue
-            cohort = self._run_representative(key, members, rep_id,
-                                              kernel_check, result)
+            cohort = self._run_representative(key, members, rep_id, result)
             result.cohorts.append(cohort)
             if cache is not None:
                 cache.put(cache.key_for(fingerprint, point), cohort.row)
@@ -527,7 +482,6 @@ class BatchFleetCore:
 
     # ------------------------------------------------------------------
     def _run_representative(self, key, members: List[int], rep_id: int,
-                            kernel_check: bool,
                             result: BatchResult) -> CohortRun:
         device, runtime = self._build(rep_id)
         ledger = _BoundaryLedger()
@@ -547,8 +501,7 @@ class BatchFleetCore:
         row["task_retries"] = int(run_result.task_retries)
         cohort = CohortRun(key, members, row, device=device, runtime=runtime,
                            ledger=ledger, nvm_image=SoAImage.from_nvm(device.nvm))
-        if kernel_check:
-            self._replay_kernel(cohort, members, ops, result)
+        self._replay_kernel(cohort, members, ops, result)
         return cohort
 
     def _replay_kernel(self, cohort: CohortRun, members: List[int],

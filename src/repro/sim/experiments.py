@@ -19,11 +19,14 @@ sweeps are declarative, deterministic, and tabulable::
 
 ``build`` returns ``(device, runtime)``; each grid point runs exactly
 once (simulations are deterministic — vary a ``seed`` factor for
-replications).
+replications). To shard a grid across processes, give it module-level
+``build``/``metrics`` callables (or ``functools.partial`` objects over
+them) instead of lambdas: see :mod:`repro.sim.pool`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -64,12 +67,6 @@ class Sweep:
         build: constructs a fresh ``(device, runtime)`` per point.
         metrics: metric name → extractor over the finished run.
         runs / max_time_s / max_reboots: forwarded to ``Device.run``.
-        batch_layout: struct-of-arrays layout token when the sweep's
-            rows are produced by the batched fleet core
-            (:meth:`repro.sim.batch.BatchArrays.layout_token`); mixed
-            into the result-cache fingerprint so rows computed under
-            one batch layout/dtype set can never be replayed under
-            another. ``None`` for ordinary scalar sweeps.
     """
 
     factors: Mapping[str, Sequence[Any]]
@@ -78,7 +75,6 @@ class Sweep:
     runs: int = 1
     max_time_s: Optional[float] = None
     max_reboots: Optional[int] = None
-    batch_layout: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.factors:
@@ -130,6 +126,10 @@ class Sweep:
                 back in the same deterministic order as :meth:`points`
                 either way, and each point is built fresh in exactly one
                 process, so the table is identical to a serial run.
+                Only a portable sweep — ``build`` and ``metrics`` that
+                pickle, such as module-level functions — is sharded;
+                one with lambdas or closures runs serially
+                (:mod:`repro.sim.pool`).
             cache: optional content-addressed result cache — ``True``
                 for the default ``.repro_cache/`` directory, a path, or
                 a :class:`repro.sim.pool.ResultCache`. Cached rows are
@@ -202,11 +202,12 @@ def metric_reboots(device: Device, result: RunResult) -> int:
     return result.reboots
 
 
+def _action_count(action: str, device: Device, result: RunResult) -> int:
+    return sum(1 for e in device.trace.of_kind("monitor_action")
+               if e.detail.get("action") == action)
+
+
 def metric_action_count(action: str) -> MetricFn:
-    """Factory: count monitor actions of one kind."""
-
-    def extract(device: Device, result: RunResult) -> int:
-        return sum(1 for e in device.trace.of_kind("monitor_action")
-                   if e.detail.get("action") == action)
-
-    return extract
+    """Factory: count monitor actions of one kind (a portable partial,
+    so sweeps using it still shard)."""
+    return functools.partial(_action_count, action)

@@ -15,42 +15,41 @@ while keeping the serial contract intact:
   :class:`~repro.sim.experiments.SweepPointError` naming the offending
   point's factor values, exactly as it would serially.
 * **Caching** — an optional :class:`ResultCache` keyed by a fingerprint
-  of the sweep's *code* (build/metric bytecode and closures, the
-  package version, and a source-tree stamp) plus the point's factor
-  values. Editing any source file, changing a closure constant, or
-  moving a factor level all change the key, so stale rows can never be
-  replayed; re-running an unchanged sweep is pure cache hits.
+  of the sweep's *code* (build/metric bytecode, closure cells, partial
+  arguments and callable-object state, the package version, and a
+  source-tree stamp) plus the point's factor values. Editing any
+  source file, changing a captured constant, or moving a factor level
+  all change the key, so stale rows can never be replayed; re-running
+  an unchanged sweep is pure cache hits.
 
-Two execution backends share that contract:
+Parallel work runs on one backend, :class:`PersistentPool`. Workers are
+forked **once** and kept alive across calls; they self-schedule chunks
+of work from a shared task queue (chunked work-stealing: an idle worker
+pulls the next chunk, so a slow chunk never stalls the rest), return
+fixed-layout numeric rows through a shared-memory table
+(:class:`SharedRowTable`) instead of pickling them through a pipe, and
+are detected + re-forked if they die mid-chunk (the dead worker's
+claimed chunks are re-queued; chunks that keep killing workers fail
+after ``max_chunk_retries``). It is also the execution backend of the
+fleet control plane (:mod:`repro.fleet.control`).
 
-* :class:`PersistentPool` — the default for *portable* (picklable)
-  work. Workers are forked **once** and kept alive across calls; they
-  self-schedule chunks of work from a shared task queue (chunked
-  work-stealing: an idle worker pulls the next chunk, so a slow chunk
-  never stalls the rest), return fixed-layout numeric rows through a
-  shared-memory table (:class:`SharedRowTable`) instead of pickling
-  them through a pipe, and are detected + re-forked if they die
-  mid-chunk (the dead worker's claimed chunks are re-queued; chunks
-  that keep killing workers fail after ``max_chunk_retries``). This is
-  the execution backend of the fleet control plane
-  (:mod:`repro.fleet.control`) and fixes the fork-per-call overhead
-  that made small sharded sweeps *slower* than serial runs.
-* **Legacy fork-per-call pool** — the fallback for sweeps whose
-  ``build``/``metrics`` callables are closures (unpicklable): the sweep
-  object is published in a module global before a throwaway pool forks,
-  and workers receive only point indices. Each call pays the full fork
-  + teardown cost; kept for compatibility and as the benchmark
-  reference the persistent pool is measured against
-  (``parallel_speedup`` in ``benchmarks/regression.py``).
-
-On platforms without ``fork`` both degrade to in-process serial
-execution — same table, no parallelism.
+**Portability rule.** The pool ships work to its resident workers by
+pickling it, so a sweep runs in parallel only when its ``build`` and
+``metrics`` are *portable*: module-level functions,
+:func:`functools.partial` objects over them, or instances of
+module-level classes with ``__call__``. A sweep with a lambda or a
+closure still runs — in-process and serially, producing the same
+table — unless ``strategy="persistent"`` demands the pool, which then
+raises :class:`PoolError`. On platforms without ``fork`` every sweep
+runs serially.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
@@ -58,6 +57,7 @@ import pickle
 import struct
 import threading
 import time
+import types
 from multiprocessing import resource_tracker
 from pathlib import Path
 from typing import (
@@ -87,42 +87,94 @@ _CACHE_FORMAT = 1
 # ---------------------------------------------------------------------------
 
 
+def _put(h: "hashlib._Hash", data: Union[str, bytes]) -> None:
+    """Mix one field in behind its length, so adjacent fields cannot run
+    together: the fields ``1``, ``23`` and ``12``, ``3`` hash apart."""
+    if isinstance(data, str):
+        data = data.encode("utf-8", "backslashreplace")
+    h.update(b"%d:" % len(data))
+    h.update(data)
+
+
+def _update_value(h: "hashlib._Hash", value: Any, depth: int) -> None:
+    """Mix one captured value in: callables by behaviour, the rest by
+    repr."""
+    if callable(value):
+        _update_callable(h, value, depth + 1)
+    else:
+        _put(h, repr(value))
+
+
+def _update_code(h: "hashlib._Hash", code: types.CodeType) -> None:
+    """Bytecode, names and constants. Nested code objects (lambdas,
+    comprehensions) are hashed recursively: their repr embeds a memory
+    address, which would make the fingerprint differ per process."""
+    _put(h, "<code>")
+    _put(h, code.co_code)
+    _put(h, repr(code.co_names))
+    _put(h, f"<consts {len(code.co_consts)}>")
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            _update_code(h, const)
+        else:
+            _put(h, repr(const))
+
+
 def _update_callable(h: "hashlib._Hash", fn: Any, depth: int = 0) -> None:
     """Mix a callable's behaviour into the hash.
 
-    Covers the compiled bytecode, constants, names, defaults, and —
-    recursively — closure cell contents, so two lambdas that differ only
-    in a captured constant fingerprint differently. Objects without code
-    (builtins, callables implementing ``__call__``) fall back to their
-    repr, which at minimum distinguishes their type.
+    A function contributes its compiled code, defaults and —
+    recursively — closure cell contents, so two lambdas that differ
+    only in a captured constant fingerprint differently. A
+    :func:`functools.partial` contributes its function, arguments and
+    keywords. A bound method, or an instance of a class with
+    ``__call__``, contributes that function and the instance's
+    attributes. Anything else (builtins, classes) falls back to its
+    repr, which at minimum names it. Every field is length-prefixed.
     """
     if depth > 4:  # cycle guard for pathological closure graphs
-        h.update(b"<depth>")
+        _put(h, "<depth>")
         return
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        call = getattr(fn, "__call__", None)
-        inner = getattr(call, "__func__", None)
-        if inner is not None and getattr(inner, "__code__", None) is not None:
-            _update_callable(h, inner, depth + 1)
-        else:
-            h.update(repr(fn).encode("utf-8", "backslashreplace"))
+    if isinstance(fn, functools.partial):
+        _put(h, f"<partial {len(fn.args)} {len(fn.keywords)}>")
+        _update_callable(h, fn.func, depth + 1)
+        for arg in fn.args:
+            _update_value(h, arg, depth)
+        for name in sorted(fn.keywords):
+            _put(h, name)
+            _update_value(h, fn.keywords[name], depth)
         return
-    h.update(code.co_code)
-    h.update(repr(code.co_consts).encode("utf-8", "backslashreplace"))
-    h.update(repr(code.co_names).encode("utf-8", "backslashreplace"))
-    h.update(repr(getattr(fn, "__defaults__", None)).encode(
-        "utf-8", "backslashreplace"))
-    for cell in getattr(fn, "__closure__", None) or ():
-        try:
-            contents = cell.cell_contents
-        except ValueError:  # empty cell
-            h.update(b"<empty>")
-            continue
-        if callable(contents):
-            _update_callable(h, contents, depth + 1)
-        else:
-            h.update(repr(contents).encode("utf-8", "backslashreplace"))
+    if inspect.ismethod(fn):
+        func, owner = fn.__func__, fn.__self__
+    elif getattr(fn, "__code__", None) is None:
+        func, owner = getattr(type(fn), "__call__", None), fn
+        if getattr(func, "__code__", None) is None:
+            _put(h, repr(fn))
+            return
+    else:
+        _put(h, "<function>")
+        _update_code(h, fn.__code__)
+        _put(h, repr((getattr(fn, "__defaults__", None),
+                      getattr(fn, "__kwdefaults__", None))))
+        cells = getattr(fn, "__closure__", None) or ()
+        _put(h, f"<closure {len(cells)}>")
+        for cell in cells:
+            try:
+                contents = cell.cell_contents
+            except ValueError:  # empty cell
+                _put(h, "<empty>")
+                continue
+            _update_value(h, contents, depth)
+        return
+    # The instance by its attributes; a class (or no ``__dict__``) by repr.
+    state = None if isinstance(owner, type) else getattr(owner, "__dict__",
+                                                          None)
+    _put(h, f"<bound {type(owner).__qualname__}>")
+    _update_callable(h, func, depth + 1)
+    _put(h, repr(owner) if state is None else f"<attrs {len(state)}>")
+    for name in sorted(state or ()):
+        _put(h, name)
+        _update_value(h, state[name], depth)
 
 
 def _source_tree_stamp() -> str:
@@ -144,26 +196,31 @@ def _source_tree_stamp() -> str:
     return h.hexdigest()
 
 
-def sweep_fingerprint(sweep: Sweep) -> str:
-    """Stable fingerprint of everything that determines a sweep's rows
-    besides the grid point itself: package version, source tree, the
-    build and metric callables, and the run budget."""
+def fingerprint_hasher() -> "hashlib._Hash":
+    """A sha256 seeded with what every result-cache fingerprint shares:
+    the cache format, the package version and the source-tree stamp.
+    Callers mix in whatever else determines their rows."""
     h = hashlib.sha256()
     h.update(f"format={_CACHE_FORMAT};".encode())
     h.update(f"version={getattr(repro, '__version__', '?')};".encode())
     h.update(_source_tree_stamp().encode())
+    return h
+
+
+def sweep_fingerprint(sweep: Sweep) -> str:
+    """Stable fingerprint of everything that determines a sweep's rows
+    besides the grid point itself: package version, source tree, the
+    build and metric callables, and the run budget."""
+    h = fingerprint_hasher()
     _update_callable(h, sweep.build)
     for name in sorted(sweep.metrics):
-        h.update(name.encode("utf-8", "backslashreplace"))
+        _put(h, name)
         _update_callable(h, sweep.metrics[name])
-    h.update(json.dumps(
+    _put(h, json.dumps(
         {"runs": sweep.runs, "max_time_s": sweep.max_time_s,
-         "max_reboots": sweep.max_reboots,
-         # Batched sweeps carry their struct-of-arrays layout token;
-         # a layout or dtype change must invalidate every cached row.
-         "batch_layout": getattr(sweep, "batch_layout", None)},
+         "max_reboots": sweep.max_reboots},
         sort_keys=True,
-    ).encode())
+    ))
     return h.hexdigest()
 
 
@@ -690,138 +747,64 @@ atexit.register(shutdown_pools)
 
 
 # ---------------------------------------------------------------------------
-# Sweep execution strategies
+# Sweep execution
 # ---------------------------------------------------------------------------
-
-#: ``(sweep, points)`` published for forked workers; the callables
-#: inside travel by address-space inheritance, not pickling.
-_ACTIVE_SWEEP: Optional[Tuple[Sweep, List[Dict[str, Any]]]] = None
-
-
-def _run_index(idx: int) -> Tuple[Any, ...]:
-    """Worker entry: run one grid point, return a picklable verdict."""
-    sweep, points = _ACTIVE_SWEEP
-    try:
-        return ("ok", idx, sweep.run_point(points[idx]))
-    except SweepPointError as exc:
-        return ("err", idx, exc.stage, exc.point, exc.cause)
-    except BaseException as exc:  # never let a worker die silently
-        return ("err", idx, "run", points[idx], repr(exc))
 
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-class _SweepTask:
-    """Picklable task context running one sweep's grid points by index.
-
-    Only sweeps whose ``build``/``metrics`` are themselves picklable
-    (module-level callables, no closures) can travel this way; the
-    pickle probe in :func:`_execute_points` decides per sweep.
-    """
-
-    def __init__(self, sweep: Sweep):
-        self.sweep = sweep
-        self._points: Optional[List[Dict[str, Any]]] = None
-
-    def __call__(self, idx: int) -> Dict[str, Any]:
-        if self._points is None:
-            self._points = self.sweep.points()
-        return self.sweep.run_point(self._points[idx])
-
-    def __getstate__(self):
-        return {"sweep": self.sweep}
-
-    def __setstate__(self, state):
-        self.sweep = state["sweep"]
-        self._points = None
-
-
-def _execute_fork(sweep: Sweep, points: List[Dict[str, Any]],
-                  pending: Sequence[int], jobs: int) -> List[Tuple[Any, ...]]:
-    """Legacy strategy: fork a throwaway pool for this one call."""
-    global _ACTIVE_SWEEP
-    _ACTIVE_SWEEP = (sweep, points)
+def portable(task: Any) -> bool:
+    """Whether ``task`` pickles, which the persistent pool needs to ship
+    it to its workers (see the portability rule in the module
+    docstring)."""
     try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(jobs, len(pending))) as pool:
-            return list(pool.imap(_run_index, pending))
-    finally:
-        _ACTIVE_SWEEP = None
+        pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
+        return True
+    except Exception:
+        return False
 
 
-def _execute_points(sweep: Sweep, points: List[Dict[str, Any]],
-                    pending: Sequence[int], jobs: int,
-                    strategy: str = "auto") -> List[Tuple[Any, ...]]:
-    """Run the pending point indices under the selected strategy.
+def _run_or_error(sweep: Sweep, point: Dict[str, Any]) -> Any:
+    try:
+        return sweep.run_point(point)
+    except SweepPointError as exc:
+        return exc
 
-    ``auto`` prefers the persistent pool when the sweep is portable
-    (picklable), falling back to the legacy fork-per-call pool, then to
-    serial execution when ``fork`` is unavailable.
+
+def _execute_points(sweep: Sweep, points: List[Dict[str, Any]], jobs: int,
+                    strategy: str = "auto") -> List[Any]:
+    """One outcome per point, in order: its row, or the exception that
+    failed it (a :class:`~repro.sim.experiments.SweepPointError`).
+
+    ``auto`` uses the persistent pool when ``jobs > 1``, ``fork`` is
+    available, there is more than one point and the sweep is portable;
+    otherwise it runs the points in-process. ``persistent`` raises
+    :class:`PoolError` instead of falling back when there is work and
+    the sweep does not pickle; ``serial`` never uses the pool. Every
+    point runs either way, so a failure does not cost the other rows.
     """
-    if strategy not in ("auto", "persistent", "fork", "serial"):
+    if strategy not in ("auto", "persistent", "serial"):
         raise ReproError(f"unknown pool strategy {strategy!r}")
-    if (strategy == "serial" or jobs <= 1 or len(pending) <= 1
-            or not _fork_available()):
-        if strategy == "persistent" and not _fork_available():
-            raise PoolError("persistent pool needs the fork start method")
-        return [_run_index_serial(sweep, points, i) for i in pending]
-    if strategy in ("auto", "persistent"):
-        task = _SweepTask(sweep)
-        try:
-            pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-            portable = True
-        except Exception:
-            portable = False
-        if portable:
-            pool = get_pool(jobs)
-            verdicts: List[Tuple[Any, ...]] = []
-            try:
-                rows = pool.run(task, list(pending))
-            except SweepPointError as exc:
-                return [("err", -1, exc.stage, exc.point, exc.cause)]
-            for idx, row in zip(pending, rows):
-                verdicts.append(("ok", idx, row))
-            return verdicts
+    if not points:
+        return []
+    if strategy == "persistent" and not _fork_available():
+        raise PoolError("persistent pool needs the fork start method")
+    pooled = (strategy != "serial" and jobs > 1 and len(points) > 1
+              and _fork_available())
+    if pooled and not portable(sweep):
         if strategy == "persistent":
             raise PoolError(
                 "sweep is not portable (closures in build/metrics); the "
                 "persistent pool needs picklable callables")
-    return _execute_fork(sweep, points, pending, jobs)
-
-
-def _run_index_serial(sweep: Sweep, points: List[Dict[str, Any]],
-                      idx: int) -> Tuple[Any, ...]:
-    try:
-        return ("ok", idx, sweep.run_point(points[idx]))
-    except SweepPointError as exc:
-        return ("err", idx, exc.stage, exc.point, exc.cause)
-
-
-class ParallelSweep:
-    """A :class:`~repro.sim.experiments.Sweep` bound to a worker count
-    and (optionally) a result cache.
-
-    Thin declarative wrapper for harness code that wants to configure
-    parallelism once and call :meth:`run` repeatedly::
-
-        runner = ParallelSweep(sweep, jobs=4, cache=True)
-        table = runner.run()          # identical to sweep.run()
-    """
-
-    def __init__(self, sweep: Sweep, jobs: int = 1, cache: Any = None,
-                 strategy: str = "auto"):
-        if jobs < 1:
-            raise ReproError("jobs must be >= 1")
-        self.sweep = sweep
-        self.jobs = jobs
-        self.cache = _normalize_cache(cache)
-        self.strategy = strategy
-
-    def run(self) -> List[Dict[str, Any]]:
-        return run_sweep(self.sweep, jobs=self.jobs, cache=self.cache,
-                         strategy=self.strategy)
+        pooled = False
+    if not pooled:
+        return [_run_or_error(sweep, point) for point in points]
+    outcomes = get_pool(jobs).run(sweep.run_point, points,
+                                  return_errors=True)
+    return [out.to_exception(point) if isinstance(out, PoolItemError)
+            else out for out, point in zip(outcomes, points)]
 
 
 def run_sweep(sweep: Sweep, jobs: int = 1, cache: Any = None,
@@ -829,10 +812,11 @@ def run_sweep(sweep: Sweep, jobs: int = 1, cache: Any = None,
     """Execute a sweep grid across ``jobs`` workers, through ``cache``.
 
     Returns the same row list, in the same order, as ``sweep.run()``.
-    Raises :class:`~repro.sim.experiments.SweepPointError` for the first
-    (grid-order) failing point. ``strategy`` picks the execution
-    backend: ``auto`` (persistent pool for portable sweeps, else the
-    legacy fork pool), ``persistent``, ``fork``, or ``serial``.
+    Every point runs and every row that succeeds is cached; then the
+    first (grid-order) failing point raises its
+    :class:`~repro.sim.experiments.SweepPointError`. ``strategy`` is
+    ``auto`` (the persistent pool for portable sweeps, else in-process),
+    ``persistent`` (the pool or :class:`PoolError`), or ``serial``.
     """
     cache = _normalize_cache(cache)
     points = sweep.points()
@@ -852,20 +836,16 @@ def run_sweep(sweep: Sweep, jobs: int = 1, cache: Any = None,
     else:
         pending = list(range(len(points)))
 
-    if pending:
-        verdicts = _execute_points(sweep, points, pending, jobs, strategy)
-        failure: Optional[Tuple[int, str, Dict[str, Any], str]] = None
-        for verdict in verdicts:
-            if verdict[0] == "ok":
-                _, idx, row = verdict
-                rows[idx] = row
-                if cache is not None:
-                    cache.put(keys[idx], row)
-            else:
-                _, idx, stage, point, cause = verdict
-                if failure is None or idx < failure[0]:
-                    failure = (idx, stage, point, cause)
-        if failure is not None:
-            _, stage, point, cause = failure
-            raise SweepPointError(stage, point, cause)
+    outcomes = _execute_points(sweep, [points[i] for i in pending], jobs,
+                               strategy)
+    failure: Optional[Exception] = None
+    for idx, outcome in zip(pending, outcomes):
+        if isinstance(outcome, Exception):
+            failure = failure or outcome
+            continue
+        rows[idx] = outcome
+        if cache is not None:
+            cache.put(keys[idx], outcome)
+    if failure is not None:
+        raise failure
     return rows  # type: ignore[return-value]

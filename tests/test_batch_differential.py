@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 from repro.core.generator import generate_machines
 from repro.core.monitor import tap_machine_ops
 from repro.errors import StateMachineError
+from repro.fleet.control import ControlPlane
 from repro.fleet.server import (
     FLEET_SPEC_REGRESSING,
     FLEET_SPEC_V2,
@@ -367,6 +368,38 @@ class TestFleetDifferential:
         assert scalar.halted and lock.halted
         assert scalar.to_dict() == lock.to_dict()
 
+    @pytest.mark.parametrize("spec", [FLEET_SPEC_V2, FLEET_SPEC_REGRESSING],
+                             ids=["benign", "regressing"])
+    def test_compact_rollout_matches_expanded(self, server, spec):
+        """A wave above ``expand_limit`` stays one row per cohort; the
+        rollout must still reach the expanded rollout's decisions,
+        deltas (up to summation order), counts and blast radius."""
+        plan = _plan(seed_mode="per_cohort", lockstep=True)
+        runs = []
+        for variant in (plan, replace(plan, expand_limit=0)):
+            plane = ControlPlane(server, plan=variant)
+            runs.append((plane.run_rollout(spec, 12), plane.ledger))
+        (expanded, expanded_ledger), (compact, compact_ledger) = runs
+        assert ((compact.halted, compact.halted_wave,
+                 compact.devices_attempted)
+                == (expanded.halted, expanded.halted_wave,
+                    expanded.devices_attempted))
+        assert len(compact.waves) == len(expanded.waves)
+        for c, e in zip(compact.waves, expanded.waves):
+            assert c.regression_delta == pytest.approx(e.regression_delta,
+                                                       rel=1e-12)
+            assert c.halted == e.halted
+        for name in ("devices", "completed", "outcomes", "rollbacks",
+                     "total_violations", "total_reboots", "chunks_lost",
+                     "degradation_shed", "degradation_restored"):
+            assert (getattr(compact.summary, name)
+                    == getattr(expanded.summary, name)), name
+        assert ([(w.decision, w.rollback_devices) for w in compact_ledger]
+                == [(w.decision, w.rollback_devices)
+                    for w in expanded_ledger])
+        if spec is FLEET_SPEC_REGRESSING:
+            assert expanded.halted and expanded_ledger[-1].rollback_devices
+
     def test_traces_and_final_nvm_byte_identical(self, server):
         plan = _plan(seed_mode="per_cohort")
         wire = server.encode_update(FLEET_SPEC_V2, 2,
@@ -650,40 +683,51 @@ class TestConformanceBatched:
 
 
 class TestBatchCacheKeys:
+    """Cohort rows are keyed by the core (``repr``), its run budget and
+    the struct-of-arrays layout token, which names the backend."""
+
+    TOKENS = ("soa/v1;backend=numpy;x", "soa/v1;backend=python;x",
+              "soa/v2;backend=numpy;x")
+
     @staticmethod
-    def _sweep(layout):
-        from repro.sim.experiments import Sweep
-        return Sweep(
-            factors={"device_id": [0]},
-            build=lambda p: (None, None),
-            metrics={"completed": lambda device, result: 0},
-            batch_layout=layout,
-        )
+    def _core(server, backend="python", **plan):
+        return BatchFleetCore(server, None, 2,
+                              _plan(seed_mode="per_cohort", **plan),
+                              backend=backend)
 
-    def test_layout_changes_sweep_fingerprint(self):
-        from repro.sim.pool import sweep_fingerprint
-        scalar = sweep_fingerprint(self._sweep(None))
-        soa_a = sweep_fingerprint(self._sweep("soa/v1;backend=numpy;x"))
-        soa_b = sweep_fingerprint(self._sweep("soa/v1;backend=python;x"))
-        assert len({scalar, soa_a, soa_b}) == 3
-        assert soa_a == sweep_fingerprint(
-            self._sweep("soa/v1;backend=numpy;x"))
+    def test_layout_changes_row_key(self, server):
+        core = self._core(server)
+        keys = [core.cache_fingerprint(token) for token in self.TOKENS]
+        assert len(set(keys)) == 3
+        assert keys[0] == self._core(server).cache_fingerprint(self.TOKENS[0])
+        assert keys[0] != self._core(server, runs=3).cache_fingerprint(
+            self.TOKENS[0])
 
-    def test_layout_change_invalidates_cached_rows(self, tmp_path):
-        """A row produced under one SoA layout must never be served for
-        another layout (or for the scalar path): dtype/backend changes
-        change how rows were materialized."""
-        from repro.sim.pool import ResultCache, sweep_fingerprint
+    def test_layout_change_invalidates_cached_rows(self, server, tmp_path):
+        """A row produced under one SoA layout or backend must never be
+        served for another: dtype/backend changes change how rows were
+        materialized."""
+        from repro.sim.pool import ResultCache
         cache = ResultCache(tmp_path / "repro_cache")
         point = {"device_id": 7}
         row = {"device_id": 7, "completed": 1}
-        fp_numpy = sweep_fingerprint(self._sweep("soa/v1;backend=numpy;x"))
-        cache.put(cache.key_for(fp_numpy, point), row)
-        assert cache.get(cache.key_for(fp_numpy, point)) == row
-        for other in (None, "soa/v1;backend=python;x",
-                      "soa/v2;backend=numpy;x"):
-            fp = sweep_fingerprint(self._sweep(other))
-            assert cache.get(cache.key_for(fp, point)) is None, other
+        core = self._core(server)
+        stored = core.cache_fingerprint(self.TOKENS[0])
+        cache.put(cache.key_for(stored, point), row)
+        assert cache.get(cache.key_for(stored, point)) == row
+        for other in self.TOKENS[1:]:
+            key = cache.key_for(core.cache_fingerprint(other), point)
+            assert cache.get(key) is None, other
+        if not HAVE_NUMPY:
+            return
+        # Real cores on both backends: python rows never serve numpy.
+        ids = list(range(8))
+        cold = self._core(server, "python").run(ids, cache=cache)
+        other = self._core(server, "numpy").run(ids, cache=cache)
+        warm = self._core(server, "numpy").run(ids, cache=cache)
+        assert not any(c.from_cache for c in cold.cohorts + other.cohorts)
+        assert all(c.from_cache for c in warm.cohorts)
+        assert warm.rows() == other.rows() == cold.rows()
 
     def test_batch_core_cache_roundtrip(self, server, tmp_path):
         """A warm cache replays cohort representatives byte-identically;

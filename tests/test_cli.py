@@ -145,6 +145,34 @@ class TestSimulate:
         assert code == 2
 
 
+class TestSweep:
+    @staticmethod
+    def _table(out):
+        return out[:out.index("cache:")]
+
+    def test_cache_serves_rows_until_the_spec_changes(self, files, capsys):
+        """A pooled sweep's cached rows are keyed by the spec's contents,
+        not its path: an unchanged rerun is all hits with the same
+        table, and editing the spec in place misses every point."""
+        app, spec, tmp_path = files
+        argv = ["sweep", spec, "--app", app, "--delays", "0,60",
+                "--seeds", "0,1", "-j", "2",
+                "--cache", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "0 hits / 4 misses" in cold
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "4 hits / 0 misses" in warm
+        assert self._table(warm) == self._table(cold)
+        with open(spec, "w") as handle:
+            handle.write(SPEC.replace("collect: 2", "collect: 3"))
+        assert main(argv) == 0
+        edited = capsys.readouterr().out
+        assert "0 hits / 4 misses" in edited
+        assert self._table(edited) != self._table(cold)
+
+
 class TestCompileHeader:
     def test_header_written_and_consistent(self, files):
         from repro.statemachine.codegen_c import generate_c_header

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.sim import pool as pool_module
 from repro.sim.experiments import Sweep, SweepPointError
 from repro.sim.pool import (
     PersistentPool,
     PoolError,
     PoolItemError,
+    ResultCache,
     get_pool,
     run_sweep,
     shutdown_pools,
@@ -298,30 +300,42 @@ class TestSweepStrategies:
         assert serial and all("time_s" in row for row in serial)
         if "fork" in multiprocessing.get_all_start_methods():
             persistent = run_sweep(sweep, jobs=2, strategy="persistent")
-            fork = run_sweep(sweep, jobs=2, strategy="fork")
             auto = run_sweep(sweep, jobs=2)
             assert persistent == serial
-            assert fork == serial
             assert auto == serial
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(Exception, match="strategy"):
-            run_sweep(make_portable_sweep(2), jobs=2, strategy="warp")
+        for strategy in ("warp", "fork"):  # the fork pool is gone
+            with pytest.raises(Exception, match="unknown pool strategy"):
+                run_sweep(make_portable_sweep(2), jobs=2, strategy=strategy)
 
     @fork_only
-    def test_closure_sweep_falls_back_to_fork(self):
-        offset = 5  # captured: makes build unpicklable enough? no —
-        # closures over locals make the *lambda* unpicklable.
+    def test_closure_sweep_runs_serially(self):
+        offset = 5  # captured by the metric: a closure does not pickle
         sweep = Sweep(
             factors={"idx": [0, 1]},
             build=lambda p: _sweep_build(p),
             metrics={"time_s": lambda d, r: r.total_time_s + offset * 0},
             runs=1,
         )
-        rows = run_sweep(sweep, jobs=2)  # auto -> legacy fork path
-        assert len(rows) == 2
+        rows = run_sweep(sweep, jobs=2)  # auto -> in-process
+        assert not pool_module._POOLS  # no pool was created
+        assert rows == run_sweep(sweep, jobs=1, strategy="serial")
         with pytest.raises(PoolError, match="not portable"):
             run_sweep(sweep, jobs=2, strategy="persistent")
+
+    def test_warm_cache_needs_no_pool(self, tmp_path, monkeypatch):
+        """``persistent`` only needs ``fork`` when a point is left to
+        run: a fully cached table comes back on any platform."""
+        sweep = make_portable_sweep(2)
+        cache = ResultCache(tmp_path / "cache")
+        rows = run_sweep(sweep, jobs=1, cache=cache, strategy="serial")
+        monkeypatch.setattr(pool_module, "_fork_available", lambda: False)
+        assert run_sweep(sweep, jobs=2, cache=cache,
+                         strategy="persistent") == rows
+        with pytest.raises(PoolError, match="fork"):
+            run_sweep(sweep, jobs=2, cache=ResultCache(tmp_path / "cold"),
+                      strategy="persistent")
 
     def test_sweep_point_error_attribution_preserved(self):
         sweep = Sweep(
