@@ -230,11 +230,11 @@ def _measure_fleet(n_devices: int = 16, jobs: int = 4,
 
 def _measure_batched_fleet(n_devices: int = 2000, trials: int = 2) -> float:
     """Best-of-N lockstep staged-rollout throughput (devices per second,
-    paired control included) through the struct-of-arrays batch core:
+    paired control included) through the lockstep cohort core:
     ``per_cohort`` seeding, compact per-cohort rollup (``expand_limit=0``).
-    Guards the vectorized path end to end — cohort partitioning, the
-    instrumented representative runs, the kernel replay across the
-    device axis, and the weighted telemetry aggregation."""
+    Guards the lockstep path end to end — cohort partitioning, the
+    representative runs with their boundary ledgers, and the weighted
+    telemetry aggregation."""
     from repro.fleet.server import FLEET_SPEC_V2, FleetServer, RolloutPlan
 
     server = FleetServer()

@@ -6,10 +6,10 @@ three waves (1% canary, 10%, everyone), then re-runs the rollout with
 the deliberately regressing spec to show the canary wave halting at
 fleet scale. The fleet uses ``per_cohort`` seeding — devices within an
 energy class are byte-identical — which is exactly the homogeneous
-shape :class:`repro.sim.batch.BatchFleetCore` amortizes: one
-instrumented scalar representative per cohort, a vectorized
-struct-of-arrays FSM replay across the million-lane device axis, and a
-weighted per-cohort telemetry rollup.
+shape :class:`repro.sim.batch.BatchFleetCore` amortizes: one cohort
+partition per wave, one scalar representative per cohort whose row
+stands for every device of the cohort, and a weighted per-cohort
+telemetry rollup. Nothing is simulated or stored per device.
 
 Run:  python examples/megafleet_demo.py [n_devices]
 """

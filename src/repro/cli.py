@@ -861,8 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("-j", "--jobs", type=int, default=1,
                          help="worker processes per wave sweep")
     p_fleet.add_argument("--lockstep", action="store_true",
-                         help="run waves through the batched "
-                              "struct-of-arrays core (repro.sim.batch)")
+                         help="run waves through the lockstep cohort "
+                              "core (repro.sim.batch)")
     p_fleet.add_argument("--seed-mode", dest="seed_mode",
                          choices=("per_device", "per_cohort"),
                          default="per_device",

@@ -10,7 +10,6 @@ is finished by ``monitorFinalize`` after reboot (§4.2.3).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.actions import Action, ActionType
@@ -31,38 +30,6 @@ SpendFn = Callable[[float], None]
 
 def _no_spend(seconds: float) -> None:
     return None
-
-
-#: Active machine-op recorders (see :func:`tap_machine_ops`). Normally
-#: empty, so the per-call overhead is one falsy check.
-_MACHINE_TAPS: List[list] = []
-
-
-@contextmanager
-def tap_machine_ops():
-    """Record every machine-level operation monitors perform.
-
-    Yields a list that accumulates ``("event", machine_name, event)``
-    entries for each completed ``on_event`` delivery and
-    ``("reset", machine_name, None)`` entries for each machine reset.
-    The batched fleet core (:mod:`repro.sim.batch`) replays this stream
-    through its vectorized FSM kernel across a cohort's device axis;
-    because only *completed* deliveries are recorded, a power failure
-    mid-``on_event`` can make the replay diverge from the partially
-    advanced scalar store — the kernel's self-check catches exactly
-    that and falls back to the authoritative scalar state.
-    """
-    record: list = []
-    _MACHINE_TAPS.append(record)
-    try:
-        yield record
-    finally:
-        _MACHINE_TAPS.remove(record)
-
-
-def _tap_op(op: str, machine_name: str, event=None) -> None:
-    for record in _MACHINE_TAPS:
-        record.append((op, machine_name, event))
 
 
 def subscription_tables(machines) -> tuple:
@@ -173,10 +140,8 @@ class ArtemisMonitor:
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """``resetMonitor``: hard-reset every machine (first boot only)."""
-        for machine, instance in zip(self.machines, self.instances):
+        for instance in self.instances:
             instance.reset()
-            if _MACHINE_TAPS:
-                _tap_op("reset", machine.name)
         self._shed_cell.set(())
         self._pending_event.set(None)
         self._verdicts.clear()
@@ -262,13 +227,11 @@ class ArtemisMonitor:
         def idle_step() -> None:
             spend(0.0)
 
-        def make_step(instance, machine_name):
+        def make_step(instance):
             def step() -> None:
                 spend(per_machine_cost_s)
                 for verdict in instance.on_event(event):
                     verdicts.append((verdict.machine, verdict.action, verdict.path))
-                if _MACHINE_TAPS:
-                    _tap_op("event", machine_name, event)
 
             return step
 
@@ -281,12 +244,11 @@ class ArtemisMonitor:
                 if machine.name in shed or idx not in relevant:
                     steps.append(idle_step)
                 else:
-                    steps.append(make_step(self.instances[idx], machine.name))
+                    steps.append(make_step(self.instances[idx]))
         else:
             for idx in range(len(self.instances)):
                 if idx in relevant:
-                    steps.append(make_step(self.instances[idx],
-                                           self.machines[idx].name))
+                    steps.append(make_step(self.instances[idx]))
                 else:
                     steps.append(idle_step)
         return steps
@@ -331,8 +293,6 @@ class ArtemisMonitor:
                 continue
             if prop.task in task_set and prop.REINIT_ON_PATH_RESTART:
                 instance.reset()
-                if _MACHINE_TAPS:
-                    _tap_op("reset", machine.name)
                 count += 1
         return count
 
@@ -454,8 +414,6 @@ class ArtemisMonitor:
         for machine, instance in zip(self.machines, self.instances):
             if machine.name == machine_name:
                 instance.reset()
-                if _MACHINE_TAPS:
-                    _tap_op("reset", machine.name)
                 return True
         return False
 

@@ -764,8 +764,8 @@ class ControlPlane:
 
     def _lockstep_wave(self, ids: List[int], wire: Optional[bytes],
                        version: int):
-        """One wave (treatment + paired control) through the batched
-        struct-of-arrays core.
+        """One wave (treatment + paired control) through the lockstep
+        cohort core.
 
         Waves up to ``plan.expand_limit`` devices expand into per-device
         telemetry, aggregated and paired exactly as the streamed path
@@ -773,7 +773,7 @@ class ControlPlane:
         per cohort, the weighted rollup, and one gate pair per cohort
         weighted by its lane count.
         """
-        from repro.sim.batch import BatchFleetCore
+        from repro.sim.batch import BatchFleetCore, weighted_summary
 
         plan = self.plan
         treated = BatchFleetCore(self.server, wire, version, plan).run(
@@ -791,7 +791,7 @@ class ControlPlane:
                   DeviceTelemetry.from_row(control_rows[c.key]),
                   len(c.device_ids))
                  for c in treated.cohorts if c.key in control_rows]
-        return [], [], treated.weighted_summary(), pairs, rows
+        return [], [], weighted_summary(rows), pairs, rows
 
     async def _streamed_wave(self, index: int, ids: List[int],
                              wire: Optional[bytes], version: int):

@@ -111,9 +111,10 @@ class RolloutPlan:
         use_delta: ship a delta against the installed baseline instead
             of a full bundle.
         seed: perturbs every device's chunk-loss stream.
-        lockstep: run waves through the batched struct-of-arrays core
-            (:class:`repro.sim.batch.BatchFleetCore`) instead of
-            simulating every device individually.
+        lockstep: run waves through the lockstep cohort core
+            (:class:`repro.sim.batch.BatchFleetCore`), which simulates
+            one representative per cohort of byte-identical devices,
+            instead of simulating every device individually.
         seed_mode: ``"per_device"`` seeds each device's RF-mobility
             trace and chunk-loss stream from its id (every device
             unique — the scalar default); ``"per_cohort"`` seeds them

@@ -8,13 +8,14 @@ introduced by a new spec is visible as a before/after rate change),
 corrective actions, degradation events, radio spend, and the update
 outcome. :func:`aggregate` folds any number of reports into a
 queryable :class:`FleetSummary` — the object rollout halting decisions
-are made on.
+are made on — and :func:`summarize` is the same fold over reports that
+each stand for a count of devices (a lockstep cohort).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 #: Update outcomes a device can report.
 UPDATE_OUTCOMES = ("installed", "pending", "failed", "none")
@@ -198,43 +199,53 @@ class FleetSummary:
 
 
 def aggregate(reports: Iterable[DeviceTelemetry]) -> FleetSummary:
-    """Fold device reports into one fleet summary.
+    """Fold device reports into one fleet summary: :func:`summarize`
+    with each report counting once."""
+    return summarize((t, 1) for t in reports)
 
+
+def summarize(pairs: Iterable[Tuple[DeviceTelemetry, int]]) -> FleetSummary:
+    """Fold (report, device count) pairs into one fleet summary.
+
+    Each report stands for ``count`` devices: a total sums
+    ``value * count`` and a mean divides that by the summed counts.
     The regression signal compares each *installed* device against
     itself: mean over installed devices of (violations-per-run after
     activation − before). Devices that never activated contribute to
     the fleet-wide before-rate but not to the delta, so a stuck radio
     cannot mask a regressing spec.
     """
-    rows: List[DeviceTelemetry] = list(reports)
+    pairs = list(pairs)
+    installed = [(t, n) for t, n in pairs if t.installed]
+    shedding = [(t, n) for t, n in pairs if t.predictive_sheds]
     outcomes: Dict[str, int] = {}
-    for t in rows:
-        outcomes[t.update_outcome] = outcomes.get(t.update_outcome, 0) + 1
-    installed = [t for t in rows if t.installed]
-    before_rates = [t.rate_before for t in rows]
-    after_rates = [t.rate_after for t in installed]
-    deltas = [t.rate_after - t.rate_before for t in installed]
+    for t, n in pairs:
+        outcomes[t.update_outcome] = outcomes.get(t.update_outcome, 0) + n
 
-    def mean(values: List[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
+    def total(value: Callable[[DeviceTelemetry], Any], among=pairs) -> Any:
+        return sum(value(t) * n for t, n in among)
+
+    def mean(value: Callable[[DeviceTelemetry], float], among) -> float:
+        devices = sum(n for _, n in among)
+        return total(value, among) / devices if devices else 0.0
 
     return FleetSummary(
-        devices=len(rows),
-        completed=sum(1 for t in rows if t.completed),
+        devices=sum(n for _, n in pairs),
+        completed=sum(n for t, n in pairs if t.completed),
         outcomes=outcomes,
-        rollbacks=sum(t.rollbacks for t in rows),
-        mean_rate_before=mean(before_rates),
-        mean_rate_after=mean(after_rates),
-        regression_delta=mean(deltas),
-        total_violations=sum(t.violations_before + t.violations_after
-                             for t in rows),
-        total_reboots=sum(t.reboots for t in rows),
-        degradation_shed=sum(t.degradation_shed for t in rows),
-        degradation_restored=sum(t.degradation_restored for t in rows),
-        predictive_sheds=sum(t.predictive_sheds for t in rows),
-        mean_shed_lead_s=mean([t.shed_lead_s for t in rows
-                               if t.predictive_sheds]),
-        chunks_lost=sum(t.chunks_lost for t in rows),
-        radio_energy_mj=sum(t.radio_energy_mj for t in rows),
-        total_energy_mj=sum(t.total_energy_mj for t in rows),
+        rollbacks=total(lambda t: t.rollbacks),
+        mean_rate_before=mean(lambda t: t.rate_before, pairs),
+        mean_rate_after=mean(lambda t: t.rate_after, installed),
+        regression_delta=mean(lambda t: t.rate_after - t.rate_before,
+                              installed),
+        total_violations=total(
+            lambda t: t.violations_before + t.violations_after),
+        total_reboots=total(lambda t: t.reboots),
+        degradation_shed=total(lambda t: t.degradation_shed),
+        degradation_restored=total(lambda t: t.degradation_restored),
+        predictive_sheds=total(lambda t: t.predictive_sheds),
+        mean_shed_lead_s=mean(lambda t: t.shed_lead_s, shedding),
+        chunks_lost=total(lambda t: t.chunks_lost),
+        radio_energy_mj=total(lambda t: t.radio_energy_mj),
+        total_energy_mj=total(lambda t: t.total_energy_mj),
     )

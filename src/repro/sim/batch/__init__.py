@@ -1,6 +1,6 @@
-"""Lockstep struct-of-arrays fleet stepping (the vectorized mega-fleet
-core). See :mod:`repro.sim.batch.core` for the execution model and the
-byte-equivalence argument."""
+"""Lockstep fleet stepping (the mega-fleet cohort core) and the
+vectorized struct-of-arrays FSM kernel. See :mod:`repro.sim.batch.core`
+for the execution model and the byte-equivalence argument."""
 
 from repro.sim.batch.core import (BatchFleetCore, BatchResult, CohortRun,
                                   LaneResult, run_with_boundaries,

@@ -1,34 +1,29 @@
 """Lockstep batched fleet stepping core.
 
-The scalar fleet path simulates every device independently at ~18
-devices/s. This module gets to 10k+ devices/s on one core by exploiting
-what the paper's deployment model guarantees: a lockstep fleet is
-*homogeneous* — devices differ only in identity, not behaviour — so the
-fleet partitions into **cohorts** of byte-identical devices (energy
-class × treatment, under the rollout plan's ``per_cohort`` seed mode).
+A lockstep fleet is *homogeneous* — devices differ only in identity,
+not behaviour — so a wave partitions into **cohorts** of byte-identical
+devices (energy class × treatment, under the rollout plan's
+``per_cohort`` seed mode). A device's future is a function of its
+durable state and its environment, so every lane of a cohort runs the
+same simulation, and every output of a wave can be read off one scalar
+device per cohort.
 
-Per cohort the core runs **one instrumented scalar representative**
-through the unmodified ``Device``/``ArtemisRuntime``/``UpdatableRuntime``
-stack — byte-equivalence with the scalar path holds *by construction*
-for every lane of the cohort — while:
+Per wave, :class:`BatchFleetCore` partitions the device ids into
+cohorts (:func:`~repro.sim.batch.layout.group_lanes`) and runs **one
+scalar representative** per cohort through the unmodified
+``Device``/``ArtemisRuntime``/``UpdatableRuntime`` stack —
+byte-equivalence with the scalar path holds *by construction* for every
+lane of the cohort. It keeps three things of each representative:
 
-* a machine-op tap (:func:`repro.core.monitor.tap_machine_ops`) records
-  the representative's monitor stream, which is replayed across the
-  cohort's device axis through the vectorized
-  :class:`~repro.sim.batch.fsm.BatchMachineSet` (struct-of-arrays FSM
-  state, table-driven transitions, the existing dispatch subscription
-  tables). Lane 0 of the replay is self-checked against the
-  representative's NVM-backed machine stores; a mismatch (possible when
-  a brown-out interrupts ``on_event`` mid-write) makes the affected
-  lanes fall back to the authoritative scalar state — counted in
-  :attr:`BatchResult.kernel_fallbacks`, never silent;
-* a **boundary ledger** snapshots full durable state at every run
+* its telemetry row, which stands for every lane of the cohort
+  (:meth:`BatchResult.rows`, :meth:`BatchResult.expand`);
+* a **boundary ledger** that snapshots full durable state at every run
   boundary (NVM fingerprint, simulated clock, capacitor energy, loss
   RNG state, result counters, trace position);
-* per-device state lands in struct-of-arrays telemetry columns
-  (:class:`~repro.sim.batch.layout.BatchArrays`) and the final NVM
-  image is shared across lanes as one
+* its final NVM image, shared across the lanes as one
   :class:`~repro.sim.batch.layout.SoAImage`.
+
+Beyond the partition, the core does no work per lane.
 
 **Divergence handling**: a lane with per-device perturbation (an
 injected crash schedule — the test battery's fault seeds) drops out of
@@ -45,9 +40,10 @@ a limitation but what byte-equivalence demands; rejoin accelerates
 exactly the perturbations the device fully absorbed.
 
 Cohort-representative rows are keyed into the content-addressed result
-cache of :mod:`repro.sim.pool` by :meth:`BatchFleetCore.cache_fingerprint`,
-which mixes in the struct-of-arrays layout token, so rows computed under
-one layout/dtype or backend can never be replayed under another.
+cache of :mod:`repro.sim.pool` by :meth:`BatchFleetCore.cache_fingerprint`.
+
+The vectorized FSM kernel (:class:`~repro.sim.batch.fsm.BatchMachineSet`)
+is not part of this path.
 """
 
 from __future__ import annotations
@@ -57,68 +53,25 @@ import hashlib
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.monitor import tap_machine_ops
-from repro.errors import FleetError, PowerFailure
-from repro.fleet.telemetry import DeviceTelemetry, FleetSummary, aggregate
-from repro.sim.batch.fsm import BatchMachineSet
-from repro.sim.batch.layout import (BatchArrays, SoAImage, group_lanes,
-                                    resolve_backend)
+from repro.errors import FleetError
+from repro.fleet.telemetry import DeviceTelemetry, FleetSummary, summarize
+from repro.sim.batch.layout import SoAImage, group_lanes, resolve_backend
 from repro.sim.pool import _normalize_cache, fingerprint_hasher
 from repro.sim.tracer import Tracer
-
-#: Telemetry fields laid out as per-lane struct-of-arrays columns.
-_SOA_COLUMNS = (
-    ("completed", "bool"),
-    ("runs_completed", "int64"),
-    ("reboots", "int64"),
-    ("total_time_s", "float64"),
-    ("total_energy_mj", "float64"),
-    ("radio_energy_mj", "float64"),
-    ("violations_before", "int64"),
-    ("violations_after", "int64"),
-    ("soc_j", "float64"),
-    ("task_retries", "int64"),
-    ("degradation_shed", "int64"),
-    ("degradation_restored", "int64"),
-)
 
 
 def run_with_boundaries(device, runtime, runs: int = 1,
                         max_time_s: Optional[float] = None,
                         max_reboots: Optional[int] = None,
                         on_boundary=None):
-    """``Device.run`` with a hook at every run boundary.
+    """``device.run(runtime, ..., on_boundary=on_boundary)``.
 
-    Mirrors :meth:`repro.sim.device.Device.run` statement for statement
-    (the differential suite holds it to that); ``on_boundary(k)`` fires
-    immediately after the ``run_complete`` trace record for run ``k``
-    and may return True to stop early (the rejoin path — the caller
-    composes the remainder from the representative's suffix).
+    A named shim, not a second run loop: the e2e benchmark's per-layer
+    probes time every representative and divergent lane through this
+    name (``batch.rep_s``).
     """
-    start = device.sim_clock.now()
-    device.trace.record(start, "boot", first=True)
-    while device.result.runs_completed < runs:
-        try:
-            runtime.boot(device)
-            while not runtime.finished:
-                if device._budget_exhausted(start, max_time_s, max_reboots):
-                    return device._give_up(start)
-                runtime.loop_iteration(device)
-            device.result.runs_completed += 1
-            device.trace.record(device.sim_clock.now(), "run_complete",
-                                run=device.result.runs_completed)
-            if on_boundary is not None and on_boundary(
-                    device.result.runs_completed):
-                return device.result
-            if device.result.runs_completed < runs:
-                runtime.begin_run(device)
-        except PowerFailure:
-            if device._budget_exhausted(start, max_time_s, max_reboots):
-                return device._give_up(start)
-            device.reboot()
-    device.result.completed = True
-    device.result.total_time_s = device.sim_clock.now() - start
-    return device.result
+    return device.run(runtime, runs=runs, max_time_s=max_time_s,
+                      max_reboots=max_reboots, on_boundary=on_boundary)
 
 
 def state_digest(device, runtime) -> Tuple:
@@ -195,50 +148,27 @@ class LaneResult:
 class BatchResult:
     """Outcome of one batched wave.
 
-    ``arrays`` holds the per-lane struct-of-arrays telemetry columns
-    (:data:`_SOA_COLUMNS`); ``expand()`` materialises per-device
+    ``rows()`` pairs each cohort's representative row with its lane
+    count, the input of :func:`weighted_summary` beyond the expansion
+    limit; ``expand()`` materialises per-device
     :class:`~repro.fleet.telemetry.DeviceTelemetry` byte-identical to
-    the scalar path; ``weighted_summary()`` is the amortized per-batch
-    rollup used beyond the expansion limit (numerically equivalent,
-    not bitwise — multiplication replaces repeated addition).
+    the scalar path.
     """
 
-    def __init__(self, device_ids: Sequence[int], backend: str):
+    def __init__(self, device_ids: Sequence[int]):
         self.device_ids = list(device_ids)
-        self.backend = backend
         self.cohorts: List[CohortRun] = []
         self.lanes: Dict[int, LaneResult] = {}
+        #: Always 0: no FSM kernel runs on this path. Its only reader is
+        #: ``benchmarks/e2e/layers.py::_count_batch``.
         self.kernel_fallbacks = 0
-        self.kernel_checked_machines = 0
-        self.fsm: Optional[BatchMachineSet] = None
-        self.arrays = BatchArrays(max(1, len(self.device_ids)),
-                                  backend=backend)
-        for name, dtype in _SOA_COLUMNS:
-            self.arrays.add_column(name, dtype)
 
     # ------------------------------------------------------------------
-    @cached_property
-    def lane_of(self) -> Dict[int, int]:
-        """Device id -> lane, built on first use: only divergent lanes
-        need it, never a wave that stays in lockstep."""
-        return {d: i for i, d in enumerate(self.device_ids)}
-
     @cached_property
     def _cohort_of(self) -> Dict[int, CohortRun]:
         """Device id -> cohort, built on the first per-device lookup."""
         return {d: cohort for cohort in self.cohorts
                 for d in cohort.device_ids}
-
-    def _fill_lanes(self, row: Dict[str, Any], lanes: Any,
-                    soc_j: float, retries: int) -> None:
-        for name, _ in _SOA_COLUMNS:
-            if name == "soc_j":
-                value = soc_j
-            elif name == "task_retries":
-                value = retries
-            else:
-                value = row.get(name, 0)
-            self.arrays.fill(name, value, lanes)
 
     def rows(self) -> List[Tuple[Dict[str, Any], int]]:
         """(representative row, lane count) per cohort, divergent lanes
@@ -263,14 +193,6 @@ class BatchResult:
             out.append(DeviceTelemetry.from_row(row))
         return out
 
-    def summary(self) -> FleetSummary:
-        """Exact aggregate over the expanded telemetry."""
-        return aggregate(self.expand())
-
-    def weighted_summary(self) -> FleetSummary:
-        """Amortized rollup over (cohort row × lane count)."""
-        return weighted_summary(self.rows())
-
     def nvm_image_for(self, device_id: int) -> Optional[SoAImage]:
         lane = self.lanes.get(device_id)
         if lane is not None:
@@ -291,63 +213,15 @@ class BatchResult:
 def weighted_summary(rows: Sequence[Tuple[Dict[str, Any], int]]) -> FleetSummary:
     """Fold (telemetry row, device count) pairs into a FleetSummary.
 
-    Mirrors :func:`repro.fleet.telemetry.aggregate` with each row
-    weighted by its cohort size. Sums use multiplication where the
-    scalar path adds ``count`` equal floats, so float totals can differ
-    from the expanded aggregate in the last bits — which is why the
+    :func:`~repro.fleet.telemetry.summarize` over each row's report
+    weighted by its cohort size. A float total is ``value * count``
+    where the expanded aggregate adds ``count`` equal floats, so it can
+    differ from that aggregate in the last bits — which is why the
     expansion path (and its byte-exact aggregate) stays the default up
     to :attr:`RolloutPlan.expand_limit`.
     """
-    devices = completed = rollbacks = violations = reboots = 0
-    shed = restored = predictive = chunks = 0
-    radio = energy = 0.0
-    outcomes: Dict[str, int] = {}
-    before_num = 0.0
-    after_num = 0.0
-    delta_num = 0.0
-    installed_n = 0
-    lead_num = 0.0
-    lead_n = 0
-    for row, count in rows:
-        t = DeviceTelemetry.from_row(dict(row, device_id=0))
-        devices += count
-        completed += count if t.completed else 0
-        outcomes[t.update_outcome] = outcomes.get(t.update_outcome, 0) + count
-        rollbacks += t.rollbacks * count
-        violations += (t.violations_before + t.violations_after) * count
-        reboots += t.reboots * count
-        shed += t.degradation_shed * count
-        restored += t.degradation_restored * count
-        predictive += t.predictive_sheds * count
-        chunks += t.chunks_lost * count
-        radio += t.radio_energy_mj * count
-        energy += t.total_energy_mj * count
-        before_num += t.rate_before * count
-        if t.installed:
-            after_num += t.rate_after * count
-            delta_num += (t.rate_after - t.rate_before) * count
-            installed_n += count
-        if t.predictive_sheds:
-            lead_num += t.shed_lead_s * count
-            lead_n += count
-    return FleetSummary(
-        devices=devices,
-        completed=completed,
-        outcomes=outcomes,
-        rollbacks=rollbacks,
-        mean_rate_before=before_num / devices if devices else 0.0,
-        mean_rate_after=after_num / installed_n if installed_n else 0.0,
-        regression_delta=delta_num / installed_n if installed_n else 0.0,
-        total_violations=violations,
-        total_reboots=reboots,
-        degradation_shed=shed,
-        degradation_restored=restored,
-        predictive_sheds=predictive,
-        mean_shed_lead_s=lead_num / lead_n if lead_n else 0.0,
-        chunks_lost=chunks,
-        radio_energy_mj=radio,
-        total_energy_mj=energy,
-    )
+    return summarize((DeviceTelemetry.from_row(dict(row, device_id=0)), count)
+                     for row, count in rows)
 
 
 class BatchFleetCore:
@@ -362,7 +236,8 @@ class BatchFleetCore:
             ``per_cohort`` collapses each energy class into one cohort,
             ``per_device`` degenerates to singleton cohorts — correct,
             but with no speedup).
-        backend: struct-of-arrays backend (``numpy``/``python``/``auto``).
+        backend: how :func:`group_lanes` partitions a wave
+            (``numpy``/``python``/``auto``).
     """
 
     def __init__(self, server, wire: Optional[bytes], version: int, plan,
@@ -397,24 +272,21 @@ class BatchFleetCore:
         return self.server.build_device(device_id, self.wire, self.version,
                                         self.plan)
 
-    def cache_fingerprint(self, layout_token: str) -> str:
+    def cache_fingerprint(self) -> str:
         """Result-cache fingerprint of this core's cohort rows: the
-        shared header, everything that shapes a representative run
-        (``repr(self)``, whose plan carries the run budget), and the
-        struct-of-arrays ``layout_token``, so a row stored under one
-        layout or backend is never served under another."""
+        shared header plus ``repr(self)``, which names everything that
+        shapes a representative run (plan with its run budget, wire,
+        version, backend and base spec)."""
         h = fingerprint_hasher()
-        h.update(f"{self!r};layout={layout_token}".encode())
+        h.update(repr(self).encode())
         return h.hexdigest()
 
     # ------------------------------------------------------------------
     def run(self, device_ids: Sequence[int], cache: Any = None,
             perturb: Optional[Dict[int, Sequence[int]]] = None) -> BatchResult:
-        """Simulate ``device_ids`` as a lockstep batch.
-
-        Each cohort's representative replays its monitor stream through
-        the vectorized FSM kernel across the cohort's lanes, self-checked
-        against the scalar stores.
+        """Simulate ``device_ids`` as a lockstep batch: one scalar
+        representative per cohort, whose row, boundary ledger and final
+        NVM image stand for every lane of the cohort.
 
         Args:
             cache: optional result cache (``True``/path/instance) for
@@ -425,25 +297,23 @@ class BatchFleetCore:
                 and rejoin at the first run boundary whose state digest
                 matches the ledger.
         """
-        result = BatchResult(device_ids, backend=self.backend)
+        result = BatchResult(device_ids)
         if not result.device_ids:
             raise FleetError("batched wave needs at least one device")
         perturb = dict(perturb or {})
-        unknown = sorted(d for d in perturb if d not in result.lane_of)
-        if unknown:
-            raise FleetError(f"perturbed devices not in wave: {unknown}")
+        if perturb:
+            wave = set(result.device_ids)
+            unknown = sorted(d for d in perturb if d not in wave)
+            if unknown:
+                raise FleetError(f"perturbed devices not in wave: {unknown}")
         diverging: Dict[Any, List[int]] = {}
         for device_id in sorted(perturb):
             diverging.setdefault(self.cohort_key(device_id), []).append(device_id)
 
-        # (key, ascending members, their lanes) per cohort, in key order;
-        # each cohort's lanes fill every SoA column as one index array.
-        cohorts = group_lanes(result.device_ids, self.cohort_key, self.backend)
         cache = _normalize_cache(cache)
-        fingerprint = (self.cache_fingerprint(result.arrays.layout_token())
-                       if cache is not None else None)
-
-        for key, members, lanes in cohorts:
+        fingerprint = self.cache_fingerprint() if cache is not None else None
+        for key, members in group_lanes(result.device_ids, self.cohort_key,
+                                        self.backend):
             rep_id = int(members[0])
             divergent = diverging.get(key, [])
             point = {"device_id": rep_id}
@@ -451,38 +321,22 @@ class BatchFleetCore:
             if cache is not None and not divergent:
                 cached_row = cache.get(cache.key_for(fingerprint, point))
             if cached_row is not None:
-                cohort = CohortRun(key, members, dict(cached_row),
-                                   from_cache=True)
-                result.cohorts.append(cohort)
-                result._fill_lanes(cohort.row, lanes, soc_j=0.0,
-                                   retries=int(cohort.row.get("task_retries", 0) or 0))
+                result.cohorts.append(CohortRun(key, members, dict(cached_row),
+                                                from_cache=True))
                 continue
-            cohort = self._run_representative(key, members, rep_id, result)
+            cohort = self._run_representative(key, members, rep_id)
             result.cohorts.append(cohort)
             if cache is not None:
                 cache.put(cache.key_for(fingerprint, point), cohort.row)
-            # Divergent lanes are overwritten with their own rows below.
-            result._fill_lanes(
-                cohort.row, lanes,
-                soc_j=self._finite(cohort.device.env.usable_energy()),
-                retries=int(cohort.device.result.task_retries))
             for device_id in divergent:
-                lane = self._run_divergent_lane(device_id, perturb[device_id],
-                                                cohort)
-                result.lanes[device_id] = lane
+                result.lanes[device_id] = self._run_divergent_lane(
+                    device_id, perturb[device_id], cohort)
                 cohort.diverged.append(device_id)
-                result._fill_lanes(lane.row, [result.lane_of[device_id]],
-                                   soc_j=0.0,
-                                   retries=int(lane.row.get("task_retries", 0) or 0))
         return result
 
-    @staticmethod
-    def _finite(value: float) -> float:
-        return 0.0 if value in (float("inf"), float("-inf")) else float(value)
-
     # ------------------------------------------------------------------
-    def _run_representative(self, key, members: List[int], rep_id: int,
-                            result: BatchResult) -> CohortRun:
+    def _run_representative(self, key, members: Sequence[int],
+                            rep_id: int) -> CohortRun:
         device, runtime = self._build(rep_id)
         ledger = _BoundaryLedger()
 
@@ -490,62 +344,15 @@ class BatchFleetCore:
             ledger.record(k, device, runtime)
             return False
 
-        with tap_machine_ops() as ops:
-            run_result = run_with_boundaries(
-                device, runtime, runs=self.plan.runs,
-                max_time_s=self.plan.max_time_s,
-                max_reboots=self.plan.max_reboots,
-                on_boundary=on_boundary)
+        run_result = run_with_boundaries(
+            device, runtime, runs=self.plan.runs,
+            max_time_s=self.plan.max_time_s,
+            max_reboots=self.plan.max_reboots,
+            on_boundary=on_boundary)
         row = DeviceTelemetry.from_device(rep_id, device, run_result,
                                           runtime).to_row()
-        row["task_retries"] = int(run_result.task_retries)
-        cohort = CohortRun(key, members, row, device=device, runtime=runtime,
-                           ledger=ledger, nvm_image=SoAImage.from_nvm(device.nvm))
-        self._replay_kernel(cohort, members, ops, result)
-        return cohort
-
-    def _replay_kernel(self, cohort: CohortRun, members: List[int],
-                       ops: list, result: BatchResult) -> None:
-        """Replay the representative's monitor stream across the cohort
-        lane axis and self-check lane 0 against the scalar stores."""
-        monitor = self._leaf_monitor(cohort.runtime)
-        if monitor is None:
-            return
-        fsm = BatchMachineSet(monitor.machines, n_lanes=len(members),
-                              backend=self.backend)
-        for op, machine_name, event in ops:
-            if machine_name not in fsm._by_name:
-                continue  # ops from a pre-swap monitor generation
-            if op == "reset":
-                fsm.reset_machine(machine_name)
-            else:
-                fsm.step_machine(machine_name, event, collect=False)
-        result.fsm = fsm
-        for machine, instance in zip(monitor.machines, monitor.instances):
-            result.kernel_checked_machines += 1
-            scalar = {"state": instance.state}
-            for var in machine.variables:
-                scalar[f"var.{var.name}"] = instance.get(var.name)
-            if fsm.lane_store(machine.name, 0) != scalar:
-                # A brown-out mid-on_event left the scalar store partially
-                # advanced; the completed-delivery replay cannot represent
-                # that. Fall back to the authoritative scalar state for
-                # every lane (the cohort is homogeneous).
-                result.kernel_fallbacks += 1
-                for lane in range(len(members)):
-                    fsm.load_lane(machine.name, lane, scalar)
-
-    @staticmethod
-    def _leaf_monitor(runtime):
-        """The active ArtemisMonitor under an UpdatableRuntime (or a
-        bare runtime); None when there is nothing to mirror."""
-        inner = getattr(runtime, "inner", runtime)
-        monitor = getattr(inner, "monitor", None)
-        if monitor is None:
-            return None
-        if hasattr(monitor, "monitors"):  # MonitorGroup
-            return monitor.monitors[0] if monitor.monitors else None
-        return monitor
+        return CohortRun(key, members, row, device=device, runtime=runtime,
+                         ledger=ledger, nvm_image=SoAImage.from_nvm(device.nvm))
 
     # ------------------------------------------------------------------
     def _run_divergent_lane(self, device_id: int, schedule: Sequence[int],
@@ -577,7 +384,6 @@ class BatchFleetCore:
         if not rejoin_at:
             row = DeviceTelemetry.from_device(device_id, device, run_result,
                                               runtime).to_row()
-            row["task_retries"] = int(run_result.task_retries)
             return LaneResult(device_id, row, rejoined=False,
                               rejoin_boundary=None,
                               trace_events=list(device.trace.events),
@@ -597,7 +403,6 @@ class BatchFleetCore:
         row = DeviceTelemetry.from_device(device_id, _TraceView(),
                                           composed_result,
                                           cohort.runtime).to_row()
-        row["task_retries"] = int(composed_result.task_retries)
         return LaneResult(device_id, row, rejoined=True, rejoin_boundary=k,
                           trace_events=composed_trace.events,
                           nvm_image=cohort.nvm_image)

@@ -1,7 +1,7 @@
 """Vectorized, table-driven FSM evaluation across a device axis.
 
 A :class:`BatchMachineSet` holds the monitor FSM state of *every lane*
-(device) in a lockstep batch as struct-of-arrays columns — one int64
+(device) in a batch as struct-of-arrays columns — one int64
 state column and one typed column per machine variable — and evaluates
 transitions across the whole lane axis at once:
 
@@ -22,7 +22,14 @@ transitions across the whole lane axis at once:
 
 Semantics are differential-tested against
 :class:`~repro.statemachine.interpreter.MachineInstance` (the repo's
-semantic ground truth) in ``tests/test_batch_differential.py``.
+semantic ground truth) in ``tests/test_batch_differential.py`` and
+``tests/test_tl_differential.py``.
+
+No production path calls this kernel: the lockstep fleet core
+(:mod:`repro.sim.batch.core`) reads every output of a cohort off its
+scalar representative, whose lanes are byte-identical by construction.
+The kernel stays as one side of the interpreter / generated code /
+batch kernel byte-identity contract, which those suites execute.
 """
 
 from __future__ import annotations
@@ -138,11 +145,8 @@ class BatchMachineSet:
                 )
 
     # ------------------------------------------------------------------
-    # Layout / lane state access
+    # Lane state access
     # ------------------------------------------------------------------
-    def layout_token(self) -> str:
-        return self.arrays.layout_token()
-
     def reset_machine(self, machine_name: str,
                       lanes: Optional[List[int]] = None) -> None:
         idx = self._machine_idx(machine_name)
@@ -158,9 +162,8 @@ class BatchMachineSet:
 
     def lane_store(self, machine_name: str, lane: int) -> Dict[str, Any]:
         """One lane's machine state in the scalar store's key shape
-        (``state`` + ``var.<name>``) with native Python values — the
-        object the self-check compares against the representative's
-        NVM-backed store."""
+        (``state`` + ``var.<name>``) with native Python values, directly
+        comparable with a scalar machine's NVM-backed store."""
         idx = self._machine_idx(machine_name)
         table = self.tables[idx]
         out: Dict[str, Any] = {
@@ -174,7 +177,7 @@ class BatchMachineSet:
     def load_lane(self, machine_name: str, lane: int,
                   store: Dict[str, Any]) -> None:
         """Overwrite one lane's machine state from a scalar store
-        snapshot (the authoritative-state fallback path)."""
+        snapshot."""
         idx = self._machine_idx(machine_name)
         table = self.tables[idx]
         state = store["state"]
@@ -216,14 +219,14 @@ class BatchMachineSet:
     def step_machine(self, machine_name: str, event: Any,
                      _out: Optional[Dict[int, List[Verdict]]] = None,
                      collect: bool = True) -> Dict[int, List[Verdict]]:
-        """Feed one event to one machine across all lanes (the replay
-        driver's entry point — the tap stream already encodes dispatch
-        and shedding decisions).
+        """Feed one event to one machine across all lanes, whatever the
+        dispatch tables say (the caller has already decided that this
+        machine inspects the event).
 
         ``collect=False`` skips per-lane ``Verdict`` materialization and
-        only maintains the amortized :attr:`emitted` rollup — the fast
-        path for million-lane replay, where per-lane verdict lists would
-        dominate the step cost.
+        only maintains the amortized :attr:`emitted` rollup — for wide
+        batches, where per-lane verdict lists would dominate the step
+        cost.
         """
         idx = self._machine_idx(machine_name)
         out = _out if _out is not None else {}
@@ -301,10 +304,10 @@ class BatchMachineSet:
         if isinstance(expr, HasData):
             return expr.key in (getattr(event, "data", None) or {})
         if isinstance(expr, ExternRef):
-            # Peer machine columns live in the same SoA table; the tap
-            # replay and the dispatch loop both step machines in the
-            # monitor's dependency order, so the column already reflects
-            # this event for upstream machines.
+            # Peer machine columns live in the same SoA table; the
+            # dispatch loop steps machines in the monitor's dependency
+            # order, so the column already reflects this event for
+            # upstream machines.
             return self.arrays.column(f"{expr.machine}.var.{expr.var}")
         if isinstance(expr, Not):
             return ~self._truthy(

@@ -5,12 +5,8 @@ Two containers live here:
 * :class:`BatchArrays` — a typed column store over a *lane* axis (one
   lane per device). Columns are numpy arrays when numpy is importable
   and plain Python lists otherwise; either way the public interface is
-  identical, so the batched core and its tests never branch on the
-  backend. The :meth:`BatchArrays.layout_token` string names the exact
-  column layout **and** element dtypes — the sweep result cache mixes it
-  into its fingerprint (see :func:`repro.sim.pool.sweep_fingerprint`),
-  so a cached row produced under one layout can never be replayed under
-  another.
+  identical, so the FSM kernel (:mod:`repro.sim.batch.fsm`) and its
+  tests never branch on the backend.
 
 * :class:`SoAImage` — a columnar snapshot of a
   :class:`~repro.nvm.memory.NonVolatileMemory`: cell names, values,
@@ -22,7 +18,7 @@ Two containers live here:
   NVM image across a cohort's lanes, and the journal property tests use
   it to prove that commit/recovery behaves identically on imaged state.
 
-:func:`group_lanes` partitions a wave's lane axis into cohorts: one
+:func:`group_lanes` partitions a wave's device ids into cohorts: one
 vectorized key computation and one stable sort on the numpy backend.
 """
 
@@ -93,21 +89,12 @@ class BatchArrays:
             self._columns[name] = [value] * self.n_lanes
         self._dtypes[name] = dtype
 
-    def has_column(self, name: str) -> bool:
-        return name in self._columns
-
     def column(self, name: str) -> Any:
         """The raw backing column (numpy array or list)."""
         try:
             return self._columns[name]
         except KeyError:
             raise ReproError(f"no column {name!r}") from None
-
-    def columns(self) -> List[str]:
-        return list(self._columns)
-
-    def dtype_of(self, name: str) -> str:
-        return self._dtypes[name]
 
     # ------------------------------------------------------------------
     def get(self, name: str, lane: int) -> Any:
@@ -124,9 +111,9 @@ class BatchArrays:
     def set(self, name: str, lane: int, value: Any) -> None:
         self.column(name)[lane] = value
 
-    def fill(self, name: str, value: Any, lanes: Optional[Any] = None) -> None:
-        """Assign ``value`` to every lane (or just ``lanes``: a lane list,
-        or the index array :func:`group_lanes` returns, used as is)."""
+    def fill(self, name: str, value: Any,
+             lanes: Optional[List[int]] = None) -> None:
+        """Assign ``value`` to every lane (or just ``lanes``)."""
         col = self.column(name)
         if self.backend == "numpy":
             col[slice(None) if lanes is None else lanes] = value
@@ -134,40 +121,17 @@ class BatchArrays:
             for i in range(self.n_lanes) if lanes is None else lanes:
                 col[i] = value
 
-    def tolist(self, name: str) -> List[Any]:
-        col = self.column(name)
-        if self.backend == "numpy":
-            return col.tolist()
-        return list(col)
-
-    # ------------------------------------------------------------------
-    def layout_token(self) -> str:
-        """Stable string naming backend + column layout + dtypes.
-
-        Two batches whose tokens differ must never share cached sweep
-        rows: the token is mixed into the sweep fingerprint.
-        """
-        cols = ",".join(f"{n}:{self._dtypes[n]}" for n in sorted(self._columns))
-        return f"soa/v1;backend={self.backend};lanes={self.n_lanes};{cols}"
-
-    def __repr__(self) -> str:
-        return (f"BatchArrays(lanes={self.n_lanes}, backend={self.backend}, "
-                f"columns={len(self._columns)})")
-
 
 def group_lanes(ids: Sequence[int], key: Callable[[Any], Any],
-                backend: str) -> List[Tuple[Any, Any, Any]]:
-    """Partition a wave's lanes (lane ``i`` holds device ``ids[i]``) by
-    ``key``.
+                backend: str) -> List[Tuple[Any, Any]]:
+    """Partition a wave's device ids by ``key``.
 
-    Returns ``(key, members, lanes)`` per group, groups in ``repr``
-    order of their key, ``members`` in ascending id order and
-    ``lanes[j]`` the lane of ``members[j]``. On the numpy backend
-    ``key`` is called once, on the whole int64 id array (it must work
-    elementwise, as ``device_id % 4`` does), and one stable sort groups
-    the lanes; ``members`` and ``lanes`` are then arrays, ready for
-    :meth:`BatchArrays.fill`. The python backend calls ``key`` per id
-    and returns lists.
+    Returns ``(key, members)`` per group, groups in ``repr`` order of
+    their key and ``members`` in ascending id order. On the numpy
+    backend ``key`` is called once, on the whole int64 id array (it must
+    work elementwise, as ``device_id % 4`` does), one stable sort groups
+    the ids and ``members`` are int64 arrays. The python backend calls
+    ``key`` per id and returns lists.
     """
     if backend == "numpy":
         id_arr = _np.fromiter(ids, dtype=_np.int64, count=len(ids))
@@ -175,15 +139,13 @@ def group_lanes(ids: Sequence[int], key: Callable[[Any], Any],
         order = _np.lexsort((id_arr, keys))
         sorted_keys = keys[order]
         starts = _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        groups = [(keys[lanes[0]].item(), id_arr[lanes], lanes)
-                  for lanes in _np.split(order, starts)]
+        groups = [(keys[group[0]].item(), id_arr[group])
+                  for group in _np.split(order, starts)]
     else:
-        by_key: Dict[Any, Tuple[List[int], List[int]]] = {}
-        for device_id, lane in sorted(zip(ids, range(len(ids)))):
-            members, lanes = by_key.setdefault(key(device_id), ([], []))
-            members.append(device_id)
-            lanes.append(lane)
-        groups = [(k, members, lanes) for k, (members, lanes) in by_key.items()]
+        by_key: Dict[Any, List[int]] = {}
+        for device_id in sorted(ids):
+            by_key.setdefault(key(device_id), []).append(device_id)
+        groups = list(by_key.items())
     return sorted(groups, key=lambda group: repr(group[0]))
 
 

@@ -1,7 +1,7 @@
-"""Differential proof that the batched core is byte-equivalent to the
-scalar core.
+"""Differential proof that the batched code is byte-equivalent to the
+scalar code.
 
-Four layers, mirroring how ``repro.sim.batch`` is built:
+Three layers, one per piece of ``repro.sim.batch``:
 
 * **FSM kernel vs interpreter** — hypothesis draws random property
   sets (the same generators as ``test_differential_monitors.py``),
@@ -9,7 +9,8 @@ Four layers, mirroring how ``repro.sim.batch`` is built:
   drives a shared seeded event stream through every lane and a
   per-lane reference :class:`MachineInstance` side by side. Verdicts,
   states and variables must agree after every event, on both the numpy
-  and the pure-Python backends.
+  and the pure-Python backends. No production path runs the kernel;
+  these tests are what hold it to the interpreter.
 * **SoA NVM image vs journal recovery** — a property test that
   interrupted :class:`CommitJournal` commits recover identically on a
   memory that round-tripped through :class:`SoAImage`, with
@@ -20,13 +21,9 @@ Four layers, mirroring how ``repro.sim.batch`` is built:
   wave delta), and per-device traces/final NVM images out of
   :class:`BatchFleetCore` must equal a scalar ``Device.run`` of the
   same device — including lanes perturbed with crash schedules
-  (divergence) and lanes whose perturbation was fully absorbed
-  (rejoin).
-* **Conformance self-check** — the crash-schedule explorer at bound 2
-  on a (workload, runtime) scenario executed through the batched
-  driver (``run_with_boundaries`` + one-lane kernel replay) reaches
-  the same verdict over the same number of schedules as the scalar
-  explorer.
+  (divergence), lanes whose perturbation was fully absorbed (rejoin),
+  and waves whose ids are shuffled and non-contiguous. The compact
+  rollup (``weighted_summary``) is held to the exact ``aggregate``.
 """
 
 import random
@@ -37,7 +34,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.generator import generate_machines
-from repro.core.monitor import tap_machine_ops
 from repro.errors import StateMachineError
 from repro.fleet.control import ControlPlane
 from repro.fleet.server import (
@@ -46,7 +42,7 @@ from repro.fleet.server import (
     FleetServer,
     RolloutPlan,
 )
-from repro.fleet.telemetry import DeviceTelemetry, aggregate
+from repro.fleet.telemetry import UPDATE_OUTCOMES, DeviceTelemetry, aggregate
 from repro.nvm.accesslog import AccessLog
 from repro.nvm.journal import CommitJournal
 from repro.nvm.memory import NonVolatileMemory
@@ -55,7 +51,6 @@ from repro.sim.batch import (
     BatchFleetCore,
     BatchMachineSet,
     SoAImage,
-    run_with_boundaries,
     weighted_summary,
 )
 from repro.sim.batch.layout import group_lanes
@@ -70,7 +65,6 @@ from repro.statemachine.model import (
     Variable,
 )
 from repro.verify.schedule import CrashScheduleRunner
-from repro.verify.workloads import get_scenario
 from tests.test_differential_monitors import any_property, make_stream
 
 BACKENDS = ["numpy", "python"] if HAVE_NUMPY else ["python"]
@@ -424,8 +418,8 @@ class TestFleetDifferential:
         wire = server.encode_update(FLEET_SPEC_V2, 2,
                                     use_delta=plan.use_delta)
         batch = BatchFleetCore(server, wire, 2, plan).run(list(range(12)))
-        exact = batch.summary()
-        rolled = batch.weighted_summary()
+        exact = aggregate(batch.expand())
+        rolled = weighted_summary(batch.rows())
         assert rolled.devices == exact.devices
         assert rolled.outcomes == exact.outcomes
         assert rolled.total_violations == exact.total_violations
@@ -434,21 +428,6 @@ class TestFleetDifferential:
             exact.mean_rate_before, rel=1e-12)
         assert rolled.total_energy_mj == pytest.approx(
             exact.total_energy_mj, rel=1e-12)
-
-    def test_soa_telemetry_columns_match_rows(self, server):
-        plan = _plan(seed_mode="per_cohort")
-        wire = server.encode_update(FLEET_SPEC_V2, 2,
-                                    use_delta=plan.use_delta)
-        ids = list(range(8))
-        batch = BatchFleetCore(server, wire, 2, plan).run(ids)
-        reports = batch.expand()
-        for lane, report in enumerate(reports):
-            assert batch.arrays.get("completed", lane) == report.completed
-            assert batch.arrays.get("reboots", lane) == report.reboots
-            assert batch.arrays.get("total_time_s", lane) == pytest.approx(
-                report.total_time_s)
-            assert (batch.arrays.get("violations_after", lane)
-                    == report.violations_after)
 
 
 class TestDivergenceAndRejoin:
@@ -535,7 +514,7 @@ class TestDivergenceAndRejoin:
                                 max_reboots=plan.max_reboots)
             reports.append(DeviceTelemetry.from_device(
                 device_id, device, result, runtime))
-        assert batch.summary() == aggregate(reports)
+        assert aggregate(batch.expand()) == aggregate(reports)
         assert batch.expand() == reports
 
 
@@ -570,10 +549,6 @@ class TestLaneBookkeeping:
         for lane, device_id in enumerate(self.IDS):
             report = expanded[lane]
             assert report.device_id == device_id
-            for name in batch.arrays.columns():
-                if name in DeviceTelemetry.__dataclass_fields__:
-                    assert (batch.arrays.get(name, lane)
-                            == getattr(report, name)), (device_id, name)
 
             device, runtime = server.build_device(device_id, wire, 2, plan)
             if device_id in self.PERTURB:
@@ -584,8 +559,6 @@ class TestLaneBookkeeping:
                                 max_reboots=plan.max_reboots)
             assert report == DeviceTelemetry.from_device(
                 device_id, device, result, runtime)
-            assert (batch.arrays.get("task_retries", lane)
-                    == result.task_retries)
             assert batch.trace_events_for(device_id) == device.trace.events
             image = batch.nvm_image_for(device_id)
             assert image.fingerprint() == device.nvm.state_fingerprint()
@@ -600,81 +573,15 @@ class TestLaneBookkeeping:
                                                          seed_mode, ids):
         core = BatchFleetCore(server, None, 2, _plan(seed_mode=seed_mode))
         reference = {}
-        for lane, device_id in enumerate(ids):
+        for device_id in ids:
             reference.setdefault(core.cohort_key(device_id), []).append(
-                (device_id, lane))
-        want = [(key, [d for d, _ in sorted(reference[key])],
-                 [lane for _, lane in sorted(reference[key])])
+                device_id)
+        want = [(key, sorted(reference[key]))
                 for key in sorted(reference, key=repr)]
         for backend in BACKENDS:
-            got = [(key, list(members), list(lanes)) for key, members, lanes
+            got = [(key, list(members)) for key, members
                    in group_lanes(ids, core.cohort_key, backend)]
             assert got == want, backend
-
-
-# ---------------------------------------------------------------------------
-# Conformance self-check at bound 2 through the batched driver
-# ---------------------------------------------------------------------------
-
-
-class TestConformanceBatched:
-    def test_bound2_same_verdict_and_schedule_count(self):
-        scenario = get_scenario("health", "artemis")
-        scalar = scenario.explorer().explore(bound=2, budget=60,
-                                             stop_on_first=False)
-
-        replayed = {"machines": 0, "fallbacks": 0}
-
-        def batched_build():
-            device, runtime = scenario.build()
-            scalar_run = device.run
-
-            def run(rt, runs=1, max_time_s=None, max_reboots=None):
-                with tap_machine_ops() as ops:
-                    result = run_with_boundaries(
-                        device, rt, runs=runs, max_time_s=max_time_s,
-                        max_reboots=max_reboots)
-                monitor = BatchFleetCore._leaf_monitor(rt)
-                if monitor is not None and monitor.machines:
-                    fsm = BatchMachineSet(monitor.machines, n_lanes=1)
-                    for op, name, ev in ops:
-                        if name not in fsm._by_name:
-                            continue
-                        if op == "reset":
-                            fsm.reset_machine(name)
-                        else:
-                            fsm.step_machine(name, ev, collect=False)
-                    for machine, inst in zip(monitor.machines,
-                                             monitor.instances):
-                        replayed["machines"] += 1
-                        want = {"state": inst.state}
-                        for var in machine.variables:
-                            want[f"var.{var.name}"] = inst.get(var.name)
-                        if fsm.lane_store(machine.name, 0) != want:
-                            replayed["fallbacks"] += 1
-                            fsm.load_lane(machine.name, 0, want)
-                return result
-
-            assert scalar_run is not None
-            device.run = run
-            return device, runtime
-
-        from repro.verify.explorer import CrashScheduleExplorer
-        batched = CrashScheduleExplorer(
-            build=batched_build,
-            policy=scenario.policy,
-            extract_extra=scenario.extract_extra,
-            run_kwargs=scenario.run_kwargs,
-            time_sensitive=scenario.time_sensitive,
-            name=scenario.name + "-batched",
-        ).explore(bound=2, budget=60, stop_on_first=False)
-
-        assert batched.ok == scalar.ok
-        assert batched.schedules_checked == scalar.schedules_checked
-        assert batched.runs_executed == scalar.runs_executed
-        assert (len(batched.counterexamples)
-                == len(scalar.counterexamples))
-        assert replayed["machines"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +590,8 @@ class TestConformanceBatched:
 
 
 class TestBatchCacheKeys:
-    """Cohort rows are keyed by the core (``repr``), its run budget and
-    the struct-of-arrays layout token, which names the backend."""
-
-    TOKENS = ("soa/v1;backend=numpy;x", "soa/v1;backend=python;x",
-              "soa/v2;backend=numpy;x")
+    """Cohort rows are keyed by the core's ``repr``, which names its
+    plan (with the run budget), wire, version, backend and base spec."""
 
     @staticmethod
     def _core(server, backend="python", **plan):
@@ -696,28 +600,26 @@ class TestBatchCacheKeys:
                               backend=backend)
 
     def test_layout_changes_row_key(self, server):
-        core = self._core(server)
-        keys = [core.cache_fingerprint(token) for token in self.TOKENS]
-        assert len(set(keys)) == 3
-        assert keys[0] == self._core(server).cache_fingerprint(self.TOKENS[0])
-        assert keys[0] != self._core(server, runs=3).cache_fingerprint(
-            self.TOKENS[0])
+        key = self._core(server).cache_fingerprint()
+        assert key == self._core(server).cache_fingerprint()
+        assert key != self._core(server, runs=3).cache_fingerprint()
+        if HAVE_NUMPY:
+            assert key != self._core(server, "numpy").cache_fingerprint()
 
     def test_layout_change_invalidates_cached_rows(self, server, tmp_path):
-        """A row produced under one SoA layout or backend must never be
-        served for another: dtype/backend changes change how rows were
-        materialized."""
+        """A row stored by one core is served to an identical core and
+        to no other: not under another run budget, not on another
+        backend."""
         from repro.sim.pool import ResultCache
         cache = ResultCache(tmp_path / "repro_cache")
         point = {"device_id": 7}
         row = {"device_id": 7, "completed": 1}
-        core = self._core(server)
-        stored = core.cache_fingerprint(self.TOKENS[0])
+        stored = self._core(server).cache_fingerprint()
         cache.put(cache.key_for(stored, point), row)
-        assert cache.get(cache.key_for(stored, point)) == row
-        for other in self.TOKENS[1:]:
-            key = cache.key_for(core.cache_fingerprint(other), point)
-            assert cache.get(key) is None, other
+        assert cache.get(cache.key_for(
+            self._core(server).cache_fingerprint(), point)) == row
+        assert cache.get(cache.key_for(
+            self._core(server, runs=3).cache_fingerprint(), point)) is None
         if not HAVE_NUMPY:
             return
         # Real cores on both backends: python rows never serve numpy.
@@ -759,18 +661,50 @@ class TestBatchCacheKeys:
 # ---------------------------------------------------------------------------
 
 
-def test_weighted_summary_counts_scale_linearly():
-    row = {name: 0 for name in DeviceTelemetry.__dataclass_fields__}
-    row.update(device_id=0, completed=True, runs_completed=2, reboots=3,
-               total_time_s=10.0, total_energy_mj=5.0, radio_energy_mj=1.0,
-               violations_before=2, violations_after=4, runs_before=1,
-               runs_after=1, degradation_shed=1, degradation_restored=1,
-               chunks_lost=2, rollbacks=0, update_outcome="installed",
-               active_version=2, predictive_sheds=0, shed_lead_s=0.0)
-    single = weighted_summary([(row, 1)])
-    many = weighted_summary([(row, 50)])
-    assert many.devices == 50
-    assert many.total_violations == 50 * single.total_violations
-    assert many.total_reboots == 50 * single.total_reboots
-    assert many.mean_rate_before == pytest.approx(single.mean_rate_before)
-    assert many.regression_delta == pytest.approx(single.regression_delta)
+_floats = st.floats(min_value=0.0, max_value=1e3, allow_nan=False,
+                    allow_infinity=False)
+_rows = st.fixed_dictionaries({
+    "device_id": st.integers(min_value=0, max_value=10**6),
+    "completed": st.booleans(),
+    "runs_completed": st.integers(min_value=0, max_value=10),
+    "reboots": st.integers(min_value=0, max_value=50),
+    "total_time_s": _floats,
+    "total_energy_mj": _floats,
+    "radio_energy_mj": _floats,
+    "violations_before": st.integers(min_value=0, max_value=20),
+    "violations_after": st.integers(min_value=0, max_value=20),
+    "runs_before": st.integers(min_value=0, max_value=10),
+    "runs_after": st.integers(min_value=0, max_value=10),
+    "degradation_shed": st.integers(min_value=0, max_value=5),
+    "degradation_restored": st.integers(min_value=0, max_value=5),
+    "chunks_lost": st.integers(min_value=0, max_value=10),
+    "rollbacks": st.integers(min_value=0, max_value=2),
+    "update_outcome": st.sampled_from(UPDATE_OUTCOMES),
+    "active_version": st.one_of(st.none(), st.integers(1, 3)),
+    "predictive_sheds": st.integers(min_value=0, max_value=3),
+    "shed_lead_s": _floats,
+})
+
+
+@given(cohorts=st.lists(st.tuples(_rows, st.integers(min_value=1,
+                                                     max_value=50)),
+                        min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_weighted_summary_counts_scale_linearly(cohorts):
+    """Every row counted once, the compact rollup is exactly the
+    aggregate over the reports. Each row counted ``n`` times, it equals
+    the aggregate over ``n`` copies of each: integer fields exactly,
+    float fields up to summation order."""
+    reports = [DeviceTelemetry.from_row(row) for row, _ in cohorts]
+    assert (weighted_summary([(row, 1) for row, _ in cohorts]).to_dict()
+            == aggregate(reports).to_dict())
+    rolled = weighted_summary(cohorts).to_dict()
+    expanded = aggregate(report for report, (_, n) in zip(reports, cohorts)
+                         for _ in range(n)).to_dict()
+    assert rolled.keys() == expanded.keys()
+    for name, want in expanded.items():
+        if isinstance(want, float):
+            assert rolled[name] == pytest.approx(want, rel=1e-9,
+                                                 abs=1e-9), name
+        else:
+            assert rolled[name] == want, name

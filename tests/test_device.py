@@ -1,5 +1,7 @@
 """Tests for the intermittent-device simulator."""
 
+import dataclasses
+
 import pytest
 
 from repro.energy.capacitor import Capacitor
@@ -175,6 +177,39 @@ class TestRunLoop:
         assert result.completed
         assert result.runs_completed == 3
         assert result.total_time_s == pytest.approx(6.0)
+
+    @staticmethod
+    def _intermittent_loop(runs, on_boundary=None):
+        """Runs of two work units each on a device that browns out."""
+        class Loop(_FixedWorkRuntime):
+            def begin_run(self, device):
+                self.units_left.set(2)
+
+        device = harvested_device(usable_mj=2.5, charge_s=30.0)
+        result = device.run(Loop(device, units=2), runs=runs,
+                            on_boundary=on_boundary)
+        return result, list(device.trace)
+
+    def test_on_boundary_false_changes_nothing(self):
+        seen = []
+        result, trace = self._intermittent_loop(
+            3, lambda k: seen.append(k) or False)
+        assert seen == [1, 2, 3]
+        assert result.completed and result.reboots >= 1
+        assert (result, trace) == self._intermittent_loop(3)
+
+    def test_on_boundary_true_stops_right_after_that_run(self):
+        result, trace = self._intermittent_loop(3, lambda k: k == 2)
+        assert not result.completed
+        assert result.runs_completed == 2
+        assert (trace[-1].kind, trace[-1].detail) == ("run_complete",
+                                                      {"run": 2})
+        # Everything up to the stop is what a two-run budget leaves,
+        # except that the stopped run is not marked complete.
+        plain, plain_trace = self._intermittent_loop(2)
+        assert trace == plain_trace
+        assert dataclasses.replace(result, completed=True,
+                                   total_time_s=plain.total_time_s) == plain
 
 
 class TestRunResult:

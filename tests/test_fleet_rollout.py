@@ -17,7 +17,12 @@ from repro.fleet.server import (
     FleetServer,
     RolloutPlan,
 )
-from repro.fleet.telemetry import FleetSummary, aggregate
+from repro.fleet.telemetry import (
+    DeviceTelemetry,
+    FleetSummary,
+    aggregate,
+    summarize,
+)
 
 _FAST = dict(runs=2, loss_rate=0.02, seed=0)
 
@@ -100,3 +105,51 @@ class TestPlanValidation:
         summary = aggregate([])
         assert summary.devices == 0
         assert summary.regression_delta == 0.0
+
+
+def _report(**fields):
+    """A device report: one run either side of the install, no events."""
+    row = dict(device_id=0, completed=True, runs_completed=2, reboots=0,
+               total_time_s=1.0, total_energy_mj=0.0, radio_energy_mj=0.0,
+               violations_before=0, violations_after=0, runs_before=1,
+               runs_after=1, degradation_shed=0, degradation_restored=0,
+               chunks_lost=0, rollbacks=0, update_outcome="installed",
+               active_version=2)
+    row.update(fields)
+    return DeviceTelemetry(**row)
+
+
+_INSTALLED = _report(reboots=4, violations_before=2, violations_after=3,
+                     radio_energy_mj=1.5, total_energy_mj=2.5,
+                     degradation_shed=1, predictive_sheds=1, shed_lead_s=2.0)
+_PENDING = _report(completed=False, reboots=1, violations_before=6,
+                   radio_energy_mj=0.5, total_energy_mj=0.5, chunks_lost=2,
+                   update_outcome="pending", active_version=1)
+
+
+class TestSummarize:
+    def test_each_report_counts_for_its_devices(self):
+        summary = summarize([(_INSTALLED, 3), (_PENDING, 1)])
+        assert summary.devices == 4
+        assert summary.completed == 3
+        assert summary.outcomes == {"installed": 3, "pending": 1}
+        assert summary.total_reboots == 3 * 4 + 1
+        assert summary.total_violations == 3 * (2 + 3) + 6
+        assert summary.degradation_shed == summary.predictive_sheds == 3
+        assert summary.chunks_lost == 2
+        assert summary.radio_energy_mj == 3 * 1.5 + 0.5
+        assert summary.total_energy_mj == 3 * 2.5 + 0.5
+        # The before-rate is over all four devices; the after-rate and
+        # the delta are over the three installed ones only.
+        assert summary.mean_rate_before == (3 * 2 + 6) / 4
+        assert summary.mean_rate_after == 3.0
+        assert summary.regression_delta == 3.0 - 2.0
+        assert summary.mean_shed_lead_s == 2.0
+
+    def test_no_installed_device_means_no_delta(self):
+        summary = summarize([(_PENDING, 5)])
+        assert summary.devices == 5 and summary.installed == 0
+        assert summary.mean_rate_before == 6.0
+        assert summary.mean_rate_after == 0.0
+        assert summary.regression_delta == 0.0
+        assert summary.mean_shed_lead_s == 0.0
