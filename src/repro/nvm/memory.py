@@ -153,6 +153,8 @@ class NonVolatileMemory:
         self._access_log = None
         #: Cells declared crash-progress points at allocation time.
         self._progress_cells: set = set()
+        #: See :attr:`layout_version`.
+        self._layout_version = 0
 
     # ------------------------------------------------------------------
     # Allocation
@@ -201,6 +203,7 @@ class NonVolatileMemory:
         self._data[name] = initial
         self._initials[name] = copy.deepcopy(initial)
         self._used_bytes += size_bytes
+        self._layout_version += 1
         return cell
 
     def grow(self, name: str, size_bytes: int) -> PersistentCell:
@@ -230,6 +233,7 @@ class NonVolatileMemory:
         if cell is None:
             raise NVMError(f"cell {name!r} not allocated")
         self._used_bytes -= cell.size_bytes
+        self._layout_version += 1
         del self._data[name]
         self._corrupted.pop(name, None)
         self._initials.pop(name, None)
@@ -381,6 +385,14 @@ class NonVolatileMemory:
     def write_count(self) -> int:
         """Total writes performed (FRAM wear / overhead accounting)."""
         return self._write_count
+
+    @property
+    def layout_version(self) -> int:
+        """Bumped by every new-cell :meth:`alloc` and every :meth:`free`,
+        so observers can key per-layout caches on it. ``len()`` and
+        :attr:`used_bytes` cannot serve: freeing one cell and allocating
+        another of the same size leaves both unchanged."""
+        return self._layout_version
 
     def snapshot(self) -> Dict[str, Any]:
         """Deep copy of all cell values (for checkpoint-diff tests)."""

@@ -56,11 +56,6 @@ from repro.statemachine.model import (
     Var,
 )
 
-try:  # pragma: no cover - both backends are exercised in tests
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
 _VAR_DTYPES = {"int": "int64", "float": "float64", "bool": "bool",
                "time": "float64"}
 
@@ -242,10 +237,12 @@ class BatchMachineSet:
     def _step_numpy(self, idx: int, event: Any,
                     out: Dict[int, List[Verdict]],
                     collect: bool = True) -> None:
+        import numpy as np
+
         table = self.tables[idx]
         name = table.machine.name
         state_col = self.arrays.column(f"{name}.state")
-        unmatched = _np.ones(self.n_lanes, dtype=bool)
+        unmatched = np.ones(self.n_lanes, dtype=bool)
         fired: List[Tuple[Any, str, Optional[int]]] = []
         for s_idx, rows in table.by_state.items():
             in_state = state_col == s_idx
@@ -273,14 +270,16 @@ class BatchMachineSet:
             key = (name, action, path)
             self.emitted[key] = self.emitted.get(key, 0) + int(mask.sum())
             if collect:
-                for lane in _np.flatnonzero(mask):
+                for lane in np.flatnonzero(mask):
                     out.setdefault(int(lane), []).append(
                         Verdict(name, action, path))
 
     def _truthy(self, value: Any) -> Any:
-        if isinstance(value, _np.ndarray):
+        import numpy as np
+
+        if isinstance(value, np.ndarray):
             return value.astype(bool)
-        return _np.full(self.n_lanes, bool(value), dtype=bool)
+        return np.full(self.n_lanes, bool(value), dtype=bool)
 
     def _eval_numpy(self, expr: Any, event: Any, machine_name: str,
                     mask: Any) -> Any:
@@ -333,17 +332,19 @@ class BatchMachineSet:
         raise StateMachineError(f"unknown expression node {expr!r}")
 
     def _apply_numpy(self, op: str, left: Any, right: Any, mask: Any) -> Any:
+        import numpy as np
+
         if op == "/":
-            if isinstance(right, _np.ndarray):
+            if isinstance(right, np.ndarray):
                 zero = right == 0
                 if bool((zero & mask).any()):
                     raise StateMachineError(_DIV_ZERO_MSG)
-                safe = _np.where(zero, 1, right)
+                safe = np.where(zero, 1, right)
                 return left / safe
             if right == 0:
-                if bool(_np.asarray(mask).any()):
+                if bool(np.asarray(mask).any()):
                     raise StateMachineError(_DIV_ZERO_MSG)
-                return _np.zeros(self.n_lanes)
+                return np.zeros(self.n_lanes)
             return left / right
         if op == "+":
             return left + right
@@ -368,11 +369,13 @@ class BatchMachineSet:
     def _exec_numpy(self, body: tuple, mask: Any, event: Any,
                     machine_name: str,
                     fired: List[Tuple[Any, str, Optional[int]]]) -> None:
+        import numpy as np
+
         for stmt in body:
             if isinstance(stmt, Assign):
                 value = self._eval_numpy(stmt.expr, event, machine_name, mask)
                 col = self.arrays.column(f"{machine_name}.var.{stmt.var}")
-                if isinstance(value, _np.ndarray):
+                if isinstance(value, np.ndarray):
                     col[mask] = value[mask].astype(col.dtype)
                 else:
                     col[mask] = value

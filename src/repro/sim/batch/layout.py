@@ -25,17 +25,18 @@ vectorized key computation and one stable sort on the numpy backend.
 from __future__ import annotations
 
 import copy
+import importlib.util
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.nvm.memory import NonVolatileMemory
 
-try:  # pragma: no cover - exercised through both backends in tests
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - numpy is baked into the image
-    _np = None
+#: Whether the numpy backend is available. numpy itself is imported by
+#: the first numpy-backend call, not here: the import starts BLAS worker
+#: threads, which importing this package must not.
+try:
+    HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+except (ImportError, ValueError):  # e.g. a finder that blocks numpy
     HAVE_NUMPY = False
 
 #: Logical column dtypes understood by both backends.
@@ -83,8 +84,10 @@ class BatchArrays:
             raise ReproError(f"column {name!r} already exists")
         value = _PY_DEFAULTS[dtype] if fill is None else fill
         if self.backend == "numpy":
-            self._columns[name] = _np.full(self.n_lanes, value,
-                                           dtype=_np.dtype(dtype))
+            import numpy as np
+
+            self._columns[name] = np.full(self.n_lanes, value,
+                                          dtype=np.dtype(dtype))
         else:
             self._columns[name] = [value] * self.n_lanes
         self._dtypes[name] = dtype
@@ -134,13 +137,15 @@ def group_lanes(ids: Sequence[int], key: Callable[[Any], Any],
     ``key`` per id and returns lists.
     """
     if backend == "numpy":
-        id_arr = _np.fromiter(ids, dtype=_np.int64, count=len(ids))
-        keys = _np.asarray(key(id_arr))
-        order = _np.lexsort((id_arr, keys))
+        import numpy as np
+
+        id_arr = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        keys = np.asarray(key(id_arr))
+        order = np.lexsort((id_arr, keys))
         sorted_keys = keys[order]
-        starts = _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
         groups = [(keys[group[0]].item(), id_arr[group])
-                  for group in _np.split(order, starts)]
+                  for group in np.split(order, starts)]
     else:
         by_key: Dict[Any, List[int]] = {}
         for device_id in sorted(ids):

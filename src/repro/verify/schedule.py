@@ -24,14 +24,18 @@ failures it records, per payment index:
   with a :class:`FingerprintPolicy`, the recovery-projected search
   signature instead.
 
-Fingerprinting hashes the whole NVM, so it is the runner's dominant
-cost. The explorer only ever extends a run past its last crash, and
-never extends a run at the bound, so it asks for fingerprints from the
-payment after the last crash, or for none.
+A raw fingerprint encodes and hashes the whole NVM. A projected one
+re-encodes only the cells changed since the previous one and reuses the
+other cells' encodings (:meth:`FingerprintPolicy.fingerprint`); the
+value is the same as encoding every cell. The explorer only ever
+extends a run past its last crash, and never extends a run at the
+bound, so it asks for fingerprints from the payment after the last
+crash, or for none.
 """
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -105,6 +109,18 @@ class FingerprintPolicy:
                  normalize: Callable[[object], object] = mask_time_fields):
         self.mask_cell = mask_cell
         self.normalize = normalize
+        # The memo serves one NVM and cell layout at a time: a runner
+        # fingerprints its device's NVM at every payment, and a search
+        # runs one schedule at a time. It holds the NVM weakly, and only
+        # one: the search frontier keeps its runs' devices alive, so a
+        # memo per NVM would grow with it.
+        self._memo_nvm: Optional[weakref.ref] = None
+        self._memo_layout = -1
+        #: Sorted unmasked cell names and journal bases of the layout.
+        self._names: List[str] = []
+        self._bases: List[str] = []
+        #: name -> (value object, write count, record bytes).
+        self._records: Dict[str, Tuple[object, int, bytes]] = {}
 
     # ------------------------------------------------------------------
     def _journal_bases(self, nvm) -> List[str]:
@@ -116,6 +132,23 @@ class FingerprintPolicy:
                     bases.append(base)
         return sorted(bases)
 
+    def _sync(self, nvm) -> None:
+        """Point the memo at ``nvm`` and its current cell layout; any
+        other NVM, or any cell allocated or freed since, starts it
+        afresh."""
+        if (self._memo_nvm is None or self._memo_nvm() is not nvm
+                or self._memo_layout != nvm.layout_version):
+            self._memo_nvm = weakref.ref(nvm)
+            self._memo_layout = nvm.layout_version
+            self._names = sorted(name for name, _ in nvm.raw_items()
+                                 if not self.mask_cell(name))
+            self._bases = self._journal_bases(nvm)
+            self._records = {}
+
+    def _record(self, name: str, value: object) -> bytes:
+        return repr((name, self.normalize(value))).encode(
+            "utf-8", "backslashreplace")
+
     def project(self, nvm) -> Dict[str, object]:
         """The durable state a crash *now* would reboot into.
 
@@ -123,8 +156,9 @@ class FingerprintPolicy:
         normalised to their post-recovery (idle) values, plus the
         roll-forward overlay of any sealed-but-unapplied entries.
         """
+        self._sync(nvm)
         overrides: Dict[str, object] = {}
-        for base in self._journal_bases(nvm):
+        for base in self._bases:
             status = nvm.raw_get(f"{base}.status")
             entries = tuple(nvm.raw_get(f"{base}.entries", ()))
             if status == STATUS_IDLE:
@@ -144,17 +178,41 @@ class FingerprintPolicy:
         return overrides
 
     def fingerprint(self, nvm) -> int:
-        """CRC-32 of the projected, masked durable state."""
+        """CRC-32 of the projected, masked durable state.
+
+        The CRC runs over one record per unmasked cell, in name order:
+        ``repr((name, normalized value))``. A payment changes only a few
+        cells, so each cell's record is kept and reused while the cell
+        holds the same object with the same write count: identity
+        catches a corrupted cell, the count an object mutated in place
+        and written back, and allocating or freeing a cell drops every
+        record. Journal-overridden cells are recomputed every time.
+        Values are read raw, so an attached access log sees nothing.
+        """
         overrides = self.project(nvm)
-        acc = 0
-        names = {name for name, _ in nvm.raw_items()}
-        names.update(overrides)
-        for name in sorted(names):
-            if self.mask_cell(name):
+        names = self._names
+        data = nvm._data
+        extra = [name for name in overrides
+                 if name not in data and not self.mask_cell(name)]
+        if extra:  # staged first writes to cells not yet allocated
+            names = sorted(names + extra)
+        writes = nvm._cell_writes
+        records = self._records
+        parts = []
+        for name in names:
+            if name in overrides:
+                parts.append(self._record(name, overrides[name]))
                 continue
-            value = overrides[name] if name in overrides else nvm.raw_get(name)
-            acc = _crc((name, self.normalize(value)), acc)
-        return acc
+            value = data[name]
+            count = writes.get(name, 0)
+            memo = records.get(name)
+            if memo is None or memo[0] is not value or memo[1] != count:
+                memo = records[name] = (value, count,
+                                        self._record(name, value))
+            parts.append(memo[2])
+        # crc32(a + b) == crc32(b, crc32(a)): the same value as chaining
+        # one CRC over the records.
+        return zlib.crc32(b"".join(parts))
 
 
 class CrashScheduleRunner:

@@ -52,7 +52,7 @@ from repro.core.runtime import ArtemisRuntime
 from repro.energy.environment import EnergyEnvironment
 from repro.energy.power import MCU_ACTIVE_POWER_W, PowerModel, TaskCost
 from repro.errors import ReproError
-from repro.fleet.bundle import build_bundle
+from repro.fleet.bundle import MonitorBundle, build_bundle
 from repro.fleet.device import UpdatableRuntime
 from repro.fleet.install import BundleInstaller
 from repro.fleet.transport import OtaTransport
@@ -402,7 +402,26 @@ def _ota_app() -> Application:
     )
 
 
-def _ota_artemis() -> Tuple[Device, Any]:
+def _ota_server_side(delta: bool) -> Tuple[MonitorBundle, bytes]:
+    """What the fleet server ships: the factory-installed v1 bundle and
+    the update wire, either the full v2 bundle or, for ``ota-delta``,
+    v2 delta-encoded against the installed v1. ``MonitorBundle`` is
+    frozen and the wire is bytes, so every device may share them."""
+    app = _ota_app()
+    v1 = build_bundle(OTA_SPEC_V1, app, version=1)
+    v2 = build_bundle(OTA_SPEC_V2, app, version=2)
+    return v1, (v1.delta_to(v2) if delta else v2).to_wire()
+
+
+def _ota_device(v1: MonitorBundle, wire: bytes) -> Tuple[Device, Any]:
+    """A fresh device running ``v1`` with ``wire`` offered as version 2.
+
+    With the delta wire this is the full fleet path: the wire crosses
+    the (chunked) transport, and the device reconstructs, stages,
+    journal-activates and migrates — so bounded exploration covers
+    crashes inside every stage of bundle → transport → install → swap,
+    including the hash-guarded delta reconstruction.
+    """
     device = _device()
     app = _ota_app()
     power = PowerModel({
@@ -411,38 +430,30 @@ def _ota_artemis() -> Tuple[Device, Any]:
     })
     runtime = build_artemis(device, app=app, spec=OTA_SPEC_V1, power=power)
     installer = BundleInstaller(device.nvm, journal=runtime.journal)
-    installer.install_initial(build_bundle(OTA_SPEC_V1, app, version=1))
+    installer.install_initial(v1)
     # Lossless link: ChunkLoss draws from an RNG per delivery attempt,
     # which would make crash schedules perturb later deliveries and
     # break replayability. Crashes themselves still interrupt the
     # transfer; resumption is what is under test, not retry backoff.
     transport = OtaTransport(device.nvm, chunk_size=_OTA_CHUNK_SIZE)
     updatable = UpdatableRuntime(runtime, installer, transport)
-    updatable.push(build_bundle(OTA_SPEC_V2, app, version=2).to_wire(), 2)
+    updatable.push(wire, 2)
     return device, updatable
 
 
-def _ota_delta_artemis() -> Tuple[Device, Any]:
-    """The full fleet path: server delta-encodes v2 against the installed
-    v1 bundle, the wire crosses the (chunked) transport, and the device
-    reconstructs, stages, journal-activates and migrates — so bounded
-    exploration covers crashes inside every stage of bundle → transport
-    → install → swap, including the hash-guarded delta reconstruction."""
-    device = _device()
-    app = _ota_app()
-    power = PowerModel({
-        "sense": TaskCost(0.05, MCU_ACTIVE_POWER_W),
-        "send": TaskCost(0.30, MCU_ACTIVE_POWER_W, 1.0e-3),
-    })
-    runtime = build_artemis(device, app=app, spec=OTA_SPEC_V1, power=power)
-    installer = BundleInstaller(device.nvm, journal=runtime.journal)
-    v1 = build_bundle(OTA_SPEC_V1, app, version=1)
-    installer.install_initial(v1)
-    transport = OtaTransport(device.nvm, chunk_size=_OTA_CHUNK_SIZE)
-    updatable = UpdatableRuntime(runtime, installer, transport)
-    delta = v1.delta_to(build_bundle(OTA_SPEC_V2, app, version=2))
-    updatable.push(delta.to_wire(), 2)
-    return device, updatable
+def _ota_build(delta: bool) -> Callable[[], Tuple[Device, Any]]:
+    """One scenario's build: the server side is made on its first call
+    and shared by every later one; each call still provisions a fresh
+    device, app, runtime, installer and transport."""
+    server_side: Optional[Tuple[MonitorBundle, bytes]] = None
+
+    def build() -> Tuple[Device, Any]:
+        nonlocal server_side
+        if server_side is None:
+            server_side = _ota_server_side(delta)
+        return _ota_device(*server_side)
+
+    return build
 
 
 def _ota_extract(device, runtime) -> Dict[str, Any]:
@@ -570,9 +581,14 @@ _BUILDS: Dict[Tuple[str, str], Callable[[], Tuple[Device, Any]]] = {
     ("synthetic", "mayfly"): _synthetic_mayfly,
     ("synthetic", "chain"): _synthetic_chain,
     ("synthetic", "checkpoint"): _synthetic_checkpoint,
-    ("ota", "artemis"): _ota_artemis,
-    ("ota-delta", "artemis"): _ota_delta_artemis,
     ("temporal", "artemis"): _temporal_artemis,
+}
+
+#: OTA builds keep their server side between calls, so each scenario
+#: makes its own (:func:`_ota_build`); the flag selects the delta wire.
+_OTA_BUILDS: Dict[Tuple[str, str], bool] = {
+    ("ota", "artemis"): False,
+    ("ota-delta", "artemis"): True,
 }
 
 _CHECKPOINT_PROGRAMS = {"health": "health", "camera": "camera",
@@ -582,13 +598,14 @@ _CHECKPOINT_PROGRAMS = {"health": "health", "camera": "camera",
 def get_scenario(workload: str, runtime: str) -> Scenario:
     """The scenario for one workload × runtime pair."""
     key = (workload, runtime)
-    if key not in _BUILDS:
+    if key not in _BUILDS and key not in _OTA_BUILDS:
         raise ReproError(
             f"unknown scenario {workload!r} × {runtime!r}; workloads: "
             f"{WORKLOADS} (+ extras {EXTRA_SCENARIOS}), "
             f"runtimes: {RUNTIMES}")
     extract: Optional[Callable[[Any, Any], Dict[str, Any]]] = None
     run_kwargs: Dict[str, Any] = {}
+    build = _BUILDS.get(key)
     if runtime == "checkpoint":
         extract = _checkpoint_extract(_CHECKPOINT_PROGRAMS[workload])
     elif workload == "temporal":
@@ -596,7 +613,8 @@ def get_scenario(workload: str, runtime: str) -> Scenario:
         # Two runs: the shared once/since facts survive the run
         # boundary, so the second run checks warm-state verdicts too.
         run_kwargs = {"runs": 2}
-    elif workload in ("ota", "ota-delta"):
+    elif key in _OTA_BUILDS:
+        build = _ota_build(delta=_OTA_BUILDS[key])
         extract = _ota_extract
         # Enough application runs that the crash-free oracle finishes
         # fully installed: the transfer delivers one chunk per loop
@@ -609,7 +627,7 @@ def get_scenario(workload: str, runtime: str) -> Scenario:
         name=f"{workload}-{runtime}",
         workload=workload,
         runtime=runtime,
-        build=_BUILDS[key],
+        build=build,
         policy=EquivalencePolicy(),
         extract_extra=extract,
         run_kwargs=run_kwargs,
@@ -646,7 +664,8 @@ def iter_scenarios(
             continue
         if (ws is None or extra[0] in ws) and (rs is None or extra[1] in rs):
             keys.append(extra)
-    out = [get_scenario(w, r) for w, r in keys if (w, r) in _BUILDS]
+    out = [get_scenario(w, r) for w, r in keys
+           if (w, r) in _BUILDS or (w, r) in _OTA_BUILDS]
     if not out:
         raise ReproError(
             f"no scenarios match workloads={ws} runtimes={rs}")

@@ -26,7 +26,7 @@ from repro.fleet import (
 )
 from repro.statemachine.codegen_python import generate_python_source
 from repro.statemachine.textual import print_machine
-from repro.verify.workloads import OTA_SPEC_V1, OTA_SPEC_V2, _ota_app, _ota_artemis
+from repro.verify.workloads import OTA_SPEC_V1, OTA_SPEC_V2, _ota_app, get_scenario
 from tests.test_differential_monitors import any_property
 
 _props = st.lists(any_property(), min_size=1, max_size=5)
@@ -152,7 +152,7 @@ class TestCorruption:
         """End to end: a device offered a bit-flipped update rejects it
         whole — the transfer is dropped, the slots never touched, and
         the v1 monitor set keeps running to completion."""
-        device, runtime = _ota_artemis()
+        device, runtime = get_scenario("ota", "artemis").build()
         wire = bytearray(
             build_bundle(OTA_SPEC_V2, _ota_app(), version=2).to_wire())
         wire[40] ^= 0x10

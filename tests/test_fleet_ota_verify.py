@@ -8,9 +8,21 @@ probation, migration log, transfer status — against the crash-free
 oracle. Bound 1 is exhausted here (fast); bound 2 runs under a budget
 (the full bound-2 space, ~4.7k schedules, is exhausted by the CI
 conformance gate and was verified counterexample-free).
+
+A scenario builds the server-side bundle and update wire once and
+shares them; the last class checks that its builds still provision
+independent devices, each offered what an unshared build offers.
 """
 
-from repro.verify.workloads import get_scenario
+import pytest
+
+from repro.fleet.bundle import build_bundle
+from repro.verify.workloads import (
+    OTA_SPEC_V1,
+    OTA_SPEC_V2,
+    _ota_app,
+    get_scenario,
+)
 
 
 def _explorer():
@@ -50,3 +62,33 @@ class TestOtaConformance:
         assert not extra["transfer_failed"]
         assert device.trace.count("ota_activate") == 1
         assert device.trace.count("ota_switch") == 1
+
+
+class TestOtaBuildsStayIndependent:
+    """A scenario builds the server side once and shares it with every
+    schedule's build: the v1 bundle is frozen and the wire is bytes, so
+    sharing must leave each device as if provisioned on its own."""
+
+    @pytest.mark.parametrize("workload", ["ota", "ota-delta"])
+    def test_two_builds_from_one_scenario(self, workload):
+        scenario = get_scenario(workload, "artemis")
+        first_device, first = scenario.build()
+        second_device, second = scenario.build()
+        assert first_device.nvm is not second_device.nvm
+        assert (first_device.nvm.state_fingerprint()
+                == second_device.nvm.state_fingerprint())
+
+        app = _ota_app()
+        v1 = build_bundle(OTA_SPEC_V1, app, version=1)
+        v2 = build_bundle(OTA_SPEC_V2, app, version=2)
+        wire = (v1.delta_to(v2) if workload == "ota-delta" else v2).to_wire()
+        for runtime in (first, second):
+            assert runtime._offer == (wire, 2)
+            assert runtime.installer.active_bundle() == v1
+
+        untouched = second_device.nvm.state_fingerprint()
+        result = first_device.run(first, **scenario.run_kwargs)
+        assert result.completed
+        assert first.update_outcome == "installed"
+        assert second_device.nvm.state_fingerprint() == untouched
+        assert second.update_outcome == "pending"
