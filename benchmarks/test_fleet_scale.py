@@ -66,23 +66,26 @@ def _measure_batched():
                        seed=0, lockstep=True, seed_mode="per_cohort",
                        expand_limit=0)
     t0 = time.perf_counter()
-    report = server.rollout(FLEET_SPEC_V2, BATCH_DEVICES, plan=plan)
+    report = server.rollout(FLEET_SPEC_V2, BATCH_DEVICES, plan=plan,
+                            jobs=JOBS)
     elapsed = time.perf_counter() - t0
     return report, elapsed
 
 
 def test_batched_fleet_rollout_throughput(benchmark):
     """Lockstep cohort-core rollout. ``REPRO_BATCH_DEVICES``
-    scales the fleet (CI runs 1k blocking and 100k non-blocking); the
-    floor is the ISSUE's single-core acceptance bar, derated for busy
-    CI boxes at the small default fleet where the fixed per-cohort
-    representative cost dominates."""
+    scales the fleet (CI runs 1k blocking and 100k non-blocking) and
+    ``REPRO_BENCH_JOBS`` runs the cohort representatives on that many
+    pool workers (CI: 2); the floor is the single-core acceptance bar,
+    derated for busy CI boxes at the small default fleet where the
+    fixed per-cohort representative cost dominates."""
     report, elapsed = run_once(benchmark, _measure_batched)
     assert report.ok and report.devices_attempted == BATCH_DEVICES
     devices_per_s = BATCH_DEVICES / elapsed
     summary = report.summary
     print_table(
-        f"Batched rollout throughput ({BATCH_DEVICES} devices, lockstep)",
+        f"Batched rollout throughput ({BATCH_DEVICES} devices, lockstep, "
+        f"jobs={JOBS})",
         ["metric", "value"],
         [
             ["devices", BATCH_DEVICES],

@@ -859,7 +859,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--seed", type=int, default=0,
                          help="perturbs per-device chunk-loss streams")
     p_fleet.add_argument("-j", "--jobs", type=int, default=1,
-                         help="worker processes per wave sweep")
+                         help="worker processes per wave (streamed "
+                              "devices, or lockstep cohort "
+                              "representatives)")
     p_fleet.add_argument("--lockstep", action="store_true",
                          help="run waves through the lockstep cohort "
                               "core (repro.sim.batch)")

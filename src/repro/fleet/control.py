@@ -7,7 +7,8 @@ talks to — while keeping the batch path's decisions byte-identical:
 
 * **Execution** — waves run on the shared
   :class:`~repro.sim.pool.PersistentPool`: each device is one
-  :class:`WaveTask` item (picklable: provision, simulate, report), rows
+  :class:`~repro.fleet.server.WaveTask` item (picklable: provision,
+  simulate, report; re-exported here), rows
   come back through a shared-memory table, and every finished device
   becomes a telemetry *event* the moment it lands, not when the wave
   ends.
@@ -41,8 +42,6 @@ Verdicts must not change; that is the point.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 import math
 import os
 import threading
@@ -58,19 +57,13 @@ from repro.fleet.server import (
     RolloutPlan,
     RolloutReport,
     WaveReport,
+    WaveTask,
 )
-from repro.fleet.telemetry import (
-    UPDATE_OUTCOMES,
-    DeviceTelemetry,
-    FleetSummary,
-    aggregate,
-)
-from repro.sim.experiments import SweepPointError
+from repro.fleet.telemetry import DeviceTelemetry, FleetSummary, aggregate
 from repro.sim.pool import (
     PoolItemError,
     _fork_available,
     _normalize_cache,
-    fingerprint_hasher,
     get_pool,
     portable,
 )
@@ -268,146 +261,8 @@ class ShardedRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Wave tasks: the picklable unit of work the pool executes
+# Chaos wave task: failure injection on the pool's unit of work
 # ---------------------------------------------------------------------------
-
-#: How each DeviceTelemetry field travels through the float64 shared-
-#: memory row. Every dataclass field MUST appear here — encode_row
-#: raises KeyError for an unmapped field, so adding telemetry fields
-#: without deciding their codec fails loudly, not silently.
-_FIELD_KINDS: Dict[str, str] = {
-    "device_id": "int",
-    "completed": "bool",
-    "runs_completed": "int",
-    "reboots": "int",
-    "total_time_s": "float",
-    "total_energy_mj": "float",
-    "radio_energy_mj": "float",
-    "violations_before": "int",
-    "violations_after": "int",
-    "runs_before": "int",
-    "runs_after": "int",
-    "degradation_shed": "int",
-    "degradation_restored": "int",
-    "chunks_lost": "int",
-    "rollbacks": "int",
-    "update_outcome": "outcome",
-    "active_version": "opt_int",
-    "predictive_sheds": "int",
-    "shed_lead_s": "float",
-}
-
-_FIELDS: Tuple[str, ...] = tuple(DeviceTelemetry.__dataclass_fields__)
-
-
-class WaveTask:
-    """Provision one device, simulate it, report its telemetry row.
-
-    Picklable (plain data attributes only), so the persistent pool's
-    pre-forked workers can execute waves defined after they were
-    forked. Provides ``encode_row``/``decode_row`` so rows return
-    through the pool's shared-memory table as fixed-layout float64 and
-    are reconstructed bit-exactly (ints are exact in float64 far beyond
-    any counter here; ``update_outcome`` travels as its index in
-    :data:`~repro.fleet.telemetry.UPDATE_OUTCOMES`; a ``None``
-    ``active_version`` travels as NaN).
-    """
-
-    shm_row_size = len(_FIELDS)
-
-    def __init__(self, base_spec: str, base_version: int,
-                 wire: Optional[bytes], version: int, plan: RolloutPlan):
-        self.base_spec = base_spec
-        self.base_version = base_version
-        self.wire = wire
-        self.version = version
-        self.plan = plan
-        self._server: Optional[FleetServer] = None
-
-    # -- execution ---------------------------------------------------------
-    def server(self) -> FleetServer:
-        if self._server is None:
-            self._server = FleetServer(self.base_spec, self.base_version)
-        return self._server
-
-    def __call__(self, device_id: int) -> Dict[str, Any]:
-        point = {"device_id": device_id}
-        self.pre_simulate(device_id)
-        try:
-            device, runtime = self.server().build_device(
-                device_id, self.wire, self.version, self.plan)
-        except Exception as exc:
-            raise SweepPointError("build", point, repr(exc)) from exc
-        try:
-            result = device.run(runtime, runs=self.plan.runs,
-                                max_time_s=self.plan.max_time_s,
-                                max_reboots=self.plan.max_reboots)
-        except Exception as exc:
-            raise SweepPointError("run", point, repr(exc)) from exc
-        try:
-            return DeviceTelemetry.from_device(
-                device_id, device, result, runtime).to_row()
-        except Exception as exc:
-            raise SweepPointError("metric", point, repr(exc)) from exc
-
-    def pre_simulate(self, device_id: int) -> None:
-        """Chaos hook; the base task does nothing."""
-
-    # -- pickling ----------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state["_server"] = None  # rebuilt lazily worker-side
-        return state
-
-    # -- shared-memory row codec -------------------------------------------
-    @staticmethod
-    def encode_row(row: Dict[str, Any]) -> List[float]:
-        out: List[float] = []
-        for name in _FIELDS:
-            kind = _FIELD_KINDS[name]
-            value = row[name]
-            if kind == "outcome":
-                out.append(float(UPDATE_OUTCOMES.index(value)))
-            elif kind == "opt_int":
-                out.append(float("nan") if value is None else float(value))
-            elif kind == "bool":
-                out.append(1.0 if value else 0.0)
-            else:
-                out.append(float(value))
-        return out
-
-    @staticmethod
-    def decode_row(values: Tuple[float, ...]) -> Dict[str, Any]:
-        row: Dict[str, Any] = {}
-        for name, value in zip(_FIELDS, values):
-            kind = _FIELD_KINDS[name]
-            if kind == "int":
-                row[name] = int(value)
-            elif kind == "bool":
-                row[name] = bool(int(value))
-            elif kind == "outcome":
-                row[name] = UPDATE_OUTCOMES[int(value)]
-            elif kind == "opt_int":
-                row[name] = None if math.isnan(value) else int(value)
-            else:
-                row[name] = value
-        return row
-
-    # -- caching -----------------------------------------------------------
-    def fingerprint(self) -> str:
-        """Cache fingerprint: everything besides the device id that
-        determines the row (code tree, specs, wire blob, plan)."""
-        h = fingerprint_hasher()
-        h.update(type(self).__qualname__.encode())
-        h.update(hashlib.sha256(self.base_spec.encode()).digest())
-        h.update(b"none" if self.wire is None
-                 else hashlib.sha256(self.wire).digest())
-        h.update(json.dumps(
-            {"base_version": self.base_version, "version": self.version,
-             "plan": {k: (list(v) if isinstance(v, tuple) else v)
-                      for k, v in self.plan.__dict__.items()}},
-            sort_keys=True).encode())
-        return h.hexdigest()
 
 
 class ChaosWaveTask(WaveTask):
@@ -640,7 +495,8 @@ class ControlPlane:
         server: the :class:`FleetServer` that builds devices and wire
             blobs.
         plan: rollout policy (waves, thresholds, OTA link shape).
-        jobs: worker processes for wave execution (1 = in-process).
+        jobs: worker processes for wave execution — streamed devices
+            and lockstep cohort representatives alike (1 = in-process).
         cache: optional content-addressed row cache (same values
             :func:`repro.sim.pool.run_sweep` accepts).
         config: service knobs (:class:`ControlConfig`).
@@ -765,7 +621,8 @@ class ControlPlane:
     def _lockstep_wave(self, ids: List[int], wire: Optional[bytes],
                        version: int):
         """One wave (treatment + paired control) through the lockstep
-        cohort core.
+        cohort core, whose representatives run on the plane's ``jobs``
+        pool workers.
 
         Waves up to ``plan.expand_limit`` devices expand into per-device
         telemetry, aggregated and paired exactly as the streamed path
@@ -777,9 +634,9 @@ class ControlPlane:
 
         plan = self.plan
         treated = BatchFleetCore(self.server, wire, version, plan).run(
-            ids, cache=self.cache)
+            ids, cache=self.cache, jobs=self.jobs)
         control = BatchFleetCore(self.server, None, version, plan).run(
-            ids, cache=self.cache)
+            ids, cache=self.cache, jobs=self.jobs)
         rows = [(dict(row), count) for row, count in treated.rows()]
         if len(ids) <= plan.expand_limit:
             telemetry = treated.expand()

@@ -16,10 +16,17 @@ Execution lives in the control plane (:mod:`repro.fleet.control`):
 telemetry through a bounded ingestion queue and decides promote/halt
 from the live stream — byte-identical, under the default lossless
 backpressure policy, to the historical batch implementation.
+:class:`WaveTask` — provision one device, simulate it, report its row
+— is the unit of work both wave executors ship to the worker pool;
+it lives here, below the control plane and the lockstep core
+(:mod:`repro.sim.batch`), so both depend on it downward.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -28,8 +35,14 @@ from repro.errors import FleetError
 from repro.fleet.bundle import build_bundle
 from repro.fleet.device import UpdatableRuntime
 from repro.fleet.install import BundleInstaller
-from repro.fleet.telemetry import DeviceTelemetry, FleetSummary
+from repro.fleet.telemetry import (
+    UPDATE_OUTCOMES,
+    DeviceTelemetry,
+    FleetSummary,
+)
 from repro.fleet.transport import ChunkLoss, OtaTransport
+from repro.sim.experiments import SweepPointError
+from repro.sim.pool import fingerprint_hasher
 from repro.workloads.health import (
     BENCHMARK_SPEC,
     build_artemis,
@@ -114,7 +127,8 @@ class RolloutPlan:
         lockstep: run waves through the lockstep cohort core
             (:class:`repro.sim.batch.BatchFleetCore`), which simulates
             one representative per cohort of byte-identical devices,
-            instead of simulating every device individually.
+            instead of simulating every device individually. With
+            ``jobs > 1`` the representatives run on the pool workers.
         seed_mode: ``"per_device"`` seeds each device's RF-mobility
             trace and chunk-loss stream from its id (every device
             unique — the scalar default); ``"per_cohort"`` seeds them
@@ -348,8 +362,10 @@ class FleetServer:
         Thin synchronous driver over
         :class:`~repro.fleet.control.ControlPlane`: each wave executes
         on the persistent worker pool (``jobs`` workers) with telemetry
-        streamed through the plane's bounded ingestion queue; the gate
-        decision at stream end reproduces the batch semantics exactly.
+        streamed through the plane's bounded ingestion queue (under
+        ``plan.lockstep``, the pool runs the cohort representatives);
+        the gate decision at stream end reproduces the batch semantics
+        exactly.
         Devices in waves after a halt never receive the update.
         ``config`` (a :class:`~repro.fleet.control.ControlConfig`) and
         ``on_event`` pass through to the plane.
@@ -360,3 +376,146 @@ class FleetServer:
                              config=config, on_event=on_event)
         return plane.run_rollout(new_spec, n_devices,
                                  new_version=new_version)
+
+
+# ---------------------------------------------------------------------------
+# Wave tasks: the picklable unit of work the pool executes
+# ---------------------------------------------------------------------------
+
+#: How each DeviceTelemetry field travels through the float64 shared-
+#: memory row. Every dataclass field MUST appear here — encode_row
+#: raises KeyError for an unmapped field, so adding telemetry fields
+#: without deciding their codec fails loudly, not silently.
+_FIELD_KINDS: Dict[str, str] = {
+    "device_id": "int",
+    "completed": "bool",
+    "runs_completed": "int",
+    "reboots": "int",
+    "total_time_s": "float",
+    "total_energy_mj": "float",
+    "radio_energy_mj": "float",
+    "violations_before": "int",
+    "violations_after": "int",
+    "runs_before": "int",
+    "runs_after": "int",
+    "degradation_shed": "int",
+    "degradation_restored": "int",
+    "chunks_lost": "int",
+    "rollbacks": "int",
+    "update_outcome": "outcome",
+    "active_version": "opt_int",
+    "predictive_sheds": "int",
+    "shed_lead_s": "float",
+}
+
+_FIELDS: Tuple[str, ...] = tuple(DeviceTelemetry.__dataclass_fields__)
+
+
+class WaveTask:
+    """Provision one device, simulate it, report its telemetry row.
+
+    Picklable (plain data attributes only), so the persistent pool's
+    pre-forked workers can execute waves defined after they were
+    forked. Provides ``encode_row``/``decode_row`` so rows return
+    through the pool's shared-memory table as fixed-layout float64 and
+    are reconstructed bit-exactly (ints are exact in float64 far beyond
+    any counter here; ``update_outcome`` travels as its index in
+    :data:`~repro.fleet.telemetry.UPDATE_OUTCOMES`; a ``None``
+    ``active_version`` travels as NaN).
+    """
+
+    shm_row_size = len(_FIELDS)
+
+    def __init__(self, base_spec: str, base_version: int,
+                 wire: Optional[bytes], version: int, plan: RolloutPlan):
+        self.base_spec = base_spec
+        self.base_version = base_version
+        self.wire = wire
+        self.version = version
+        self.plan = plan
+        self._server: Optional[FleetServer] = None
+
+    # -- execution ---------------------------------------------------------
+    def server(self) -> FleetServer:
+        if self._server is None:
+            self._server = FleetServer(self.base_spec, self.base_version)
+        return self._server
+
+    def __call__(self, device_id: int) -> Dict[str, Any]:
+        point = {"device_id": device_id}
+        self.pre_simulate(device_id)
+        try:
+            device, runtime = self.server().build_device(
+                device_id, self.wire, self.version, self.plan)
+        except Exception as exc:
+            raise SweepPointError("build", point, repr(exc)) from exc
+        try:
+            result = device.run(runtime, runs=self.plan.runs,
+                                max_time_s=self.plan.max_time_s,
+                                max_reboots=self.plan.max_reboots)
+        except Exception as exc:
+            raise SweepPointError("run", point, repr(exc)) from exc
+        try:
+            return DeviceTelemetry.from_device(
+                device_id, device, result, runtime).to_row()
+        except Exception as exc:
+            raise SweepPointError("metric", point, repr(exc)) from exc
+
+    def pre_simulate(self, device_id: int) -> None:
+        """Chaos hook; the base task does nothing."""
+
+    # -- pickling ----------------------------------------------------------
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_server"] = None  # rebuilt lazily worker-side
+        return state
+
+    # -- shared-memory row codec -------------------------------------------
+    @staticmethod
+    def encode_row(row: Dict[str, Any]) -> List[float]:
+        out: List[float] = []
+        for name in _FIELDS:
+            kind = _FIELD_KINDS[name]
+            value = row[name]
+            if kind == "outcome":
+                out.append(float(UPDATE_OUTCOMES.index(value)))
+            elif kind == "opt_int":
+                out.append(float("nan") if value is None else float(value))
+            elif kind == "bool":
+                out.append(1.0 if value else 0.0)
+            else:
+                out.append(float(value))
+        return out
+
+    @staticmethod
+    def decode_row(values: Tuple[float, ...]) -> Dict[str, Any]:
+        row: Dict[str, Any] = {}
+        for name, value in zip(_FIELDS, values):
+            kind = _FIELD_KINDS[name]
+            if kind == "int":
+                row[name] = int(value)
+            elif kind == "bool":
+                row[name] = bool(int(value))
+            elif kind == "outcome":
+                row[name] = UPDATE_OUTCOMES[int(value)]
+            elif kind == "opt_int":
+                row[name] = None if math.isnan(value) else int(value)
+            else:
+                row[name] = value
+        return row
+
+    # -- caching -----------------------------------------------------------
+    def fingerprint(self) -> str:
+        """Cache fingerprint: everything besides the device id that
+        determines the row (code tree, specs, wire blob, plan)."""
+        h = fingerprint_hasher()
+        h.update(type(self).__qualname__.encode())
+        h.update(hashlib.sha256(self.base_spec.encode()).digest())
+        h.update(b"none" if self.wire is None
+                 else hashlib.sha256(self.wire).digest())
+        h.update(json.dumps(
+            {"base_version": self.base_version, "version": self.version,
+             "plan": {k: (list(v) if isinstance(v, tuple) else v)
+                      for k, v in self.plan.__dict__.items()}},
+            sort_keys=True).encode())
+        return h.hexdigest()

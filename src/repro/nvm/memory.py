@@ -260,6 +260,12 @@ class NonVolatileMemory:
         """Names of all cells failing checksum verification."""
         return [name for name in self._cells if not self.verify(name)]
 
+    @property
+    def corruption_records(self) -> int:
+        """How many cells hold a corruption record: only those can fail
+        :meth:`verify`, so with none every cell passes."""
+        return len(self._corrupted)
+
     def corrupt(self, name: str, bit: int = 0) -> Any:
         """Silently corrupt a cell, as a cosmic-ray bit flip would.
 

@@ -13,7 +13,8 @@ cohorts (:func:`~repro.sim.batch.layout.group_lanes`) and runs **one
 scalar representative** per cohort through the unmodified
 ``Device``/``ArtemisRuntime``/``UpdatableRuntime`` stack —
 byte-equivalence with the scalar path holds *by construction* for every
-lane of the cohort. It keeps three things of each representative:
+lane of the cohort. It keeps three things of each in-process
+representative:
 
 * its telemetry row, which stands for every lane of the cohort
   (:meth:`BatchResult.rows`, :meth:`BatchResult.expand`);
@@ -24,6 +25,14 @@ lane of the cohort. It keeps three things of each representative:
   :class:`~repro.sim.batch.layout.SoAImage`.
 
 Beyond the partition, the core does no work per lane.
+
+The representatives are independent deterministic simulations, so with
+``jobs > 1`` the core runs them on the shared
+:class:`~repro.sim.pool.PersistentPool` as one
+:class:`~repro.fleet.server.WaveTask` run — the unit of work of the
+streamed wave executor. A pooled cohort keeps only its row, as a cache
+hit does; a cohort with divergent lanes always runs in-process, since
+its lanes need the ledger.
 
 **Divergence handling**: a lane with per-device perturbation (an
 injected crash schedule — the test battery's fault seeds) drops out of
@@ -54,9 +63,16 @@ from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FleetError
+from repro.fleet.server import WaveTask
 from repro.fleet.telemetry import DeviceTelemetry, FleetSummary, summarize
 from repro.sim.batch.layout import SoAImage, group_lanes, resolve_backend
-from repro.sim.pool import _normalize_cache, fingerprint_hasher
+from repro.sim.pool import (
+    PoolItemError,
+    _fork_available,
+    _normalize_cache,
+    fingerprint_hasher,
+    get_pool,
+)
 from repro.sim.tracer import Tracer
 
 
@@ -114,19 +130,21 @@ class CohortRun:
 
     ``device_ids`` are the members in ascending order (an int64 array on
     the numpy backend); ``diverged`` lists the members that left
-    lockstep and have their own :class:`LaneResult`.
+    lockstep and have their own :class:`LaneResult`. ``device``,
+    ``runtime``, ``ledger`` and ``nvm_image`` are set only for an
+    in-process representative; a cached or pooled cohort keeps only its
+    row.
     """
 
     def __init__(self, key, device_ids: Sequence[int], row: Dict[str, Any],
-                 device=None, runtime=None, ledger: Optional[_BoundaryLedger] = None,
-                 nvm_image: Optional[SoAImage] = None, from_cache: bool = False):
+                 from_cache: bool = False):
         self.key = key
         self.device_ids = device_ids
         self.row = row
-        self.device = device
-        self.runtime = runtime
-        self.ledger = ledger
-        self.nvm_image = nvm_image
+        self.device = None
+        self.runtime = None
+        self.ledger: Optional[_BoundaryLedger] = None
+        self.nvm_image: Optional[SoAImage] = None
         self.from_cache = from_cache
         self.diverged: List[int] = []
 
@@ -283,10 +301,18 @@ class BatchFleetCore:
 
     # ------------------------------------------------------------------
     def run(self, device_ids: Sequence[int], cache: Any = None,
-            perturb: Optional[Dict[int, Sequence[int]]] = None) -> BatchResult:
+            perturb: Optional[Dict[int, Sequence[int]]] = None,
+            jobs: int = 1) -> BatchResult:
         """Simulate ``device_ids`` as a lockstep batch: one scalar
-        representative per cohort, whose row, boundary ledger and final
-        NVM image stand for every lane of the cohort.
+        representative per cohort, whose row stands for every lane of
+        the cohort.
+
+        ``result.cohorts`` keeps partition (``repr(key)``) order. A
+        cache hit keeps its cached row. A cohort with divergent lanes
+        runs its representative in-process, for the ledger its lanes
+        rejoin against. The other representatives are pending and run
+        through :meth:`_run_pending`; their rows are the same at any
+        ``jobs``.
 
         Args:
             cache: optional result cache (``True``/path/instance) for
@@ -296,6 +322,8 @@ class BatchFleetCore:
                 :class:`~repro.verify.schedule.CrashScheduleRunner`)
                 and rejoin at the first run boundary whose state digest
                 matches the ledger.
+            jobs: pool workers for the pending representatives
+                (1 = in-process).
         """
         result = BatchResult(device_ids)
         if not result.device_ids:
@@ -312,31 +340,59 @@ class BatchFleetCore:
 
         cache = _normalize_cache(cache)
         fingerprint = self.cache_fingerprint() if cache is not None else None
+        pending: List[CohortRun] = []
         for key, members in group_lanes(result.device_ids, self.cohort_key,
                                         self.backend):
-            rep_id = int(members[0])
             divergent = diverging.get(key, [])
-            point = {"device_id": rep_id}
             cached_row = None
             if cache is not None and not divergent:
-                cached_row = cache.get(cache.key_for(fingerprint, point))
+                cached_row = cache.get(cache.key_for(
+                    fingerprint, {"device_id": int(members[0])}))
             if cached_row is not None:
                 result.cohorts.append(CohortRun(key, members, dict(cached_row),
                                                 from_cache=True))
                 continue
-            cohort = self._run_representative(key, members, rep_id)
+            cohort = CohortRun(key, members, {})
             result.cohorts.append(cohort)
-            if cache is not None:
-                cache.put(cache.key_for(fingerprint, point), cohort.row)
+            if not divergent:
+                pending.append(cohort)
+                continue
+            self._run_representative(cohort)
             for device_id in divergent:
                 result.lanes[device_id] = self._run_divergent_lane(
                     device_id, perturb[device_id], cohort)
                 cohort.diverged.append(device_id)
+        self._run_pending(pending, jobs)
+        if cache is not None:
+            for cohort in result.cohorts:
+                if not cohort.from_cache:
+                    cache.put(cache.key_for(fingerprint, {
+                        "device_id": int(cohort.device_ids[0])}), cohort.row)
         return result
 
     # ------------------------------------------------------------------
-    def _run_representative(self, key, members: Sequence[int],
-                            rep_id: int) -> CohortRun:
+    def _run_pending(self, cohorts: List[CohortRun], jobs: int) -> None:
+        """Run the pending representatives. With ``jobs > 1``, ``fork``
+        and more than one of them, they run on the shared pool as one
+        :class:`~repro.fleet.server.WaveTask` run and keep only their
+        rows; as in the streamed wave, one that fails in a worker reruns
+        in-process, where a deterministic failure raises its own error.
+        Otherwise each runs in-process."""
+        if not (jobs > 1 and len(cohorts) > 1 and _fork_available()):
+            for cohort in cohorts:
+                self._run_representative(cohort)
+            return
+        task = WaveTask(self.server.base_spec, self.server.base_version,
+                        self.wire, self.version, self.plan)
+        rep_ids = [int(cohort.device_ids[0]) for cohort in cohorts]
+        rows = get_pool(jobs).run(task, rep_ids, return_errors=True)
+        for cohort, rep_id, row in zip(cohorts, rep_ids, rows):
+            cohort.row = task(rep_id) if isinstance(row, PoolItemError) else row
+
+    def _run_representative(self, cohort: CohortRun) -> None:
+        """Run ``cohort``'s representative in-process, keeping its row,
+        device, boundary ledger and final NVM image."""
+        rep_id = int(cohort.device_ids[0])
         device, runtime = self._build(rep_id)
         ledger = _BoundaryLedger()
 
@@ -349,10 +405,10 @@ class BatchFleetCore:
             max_time_s=self.plan.max_time_s,
             max_reboots=self.plan.max_reboots,
             on_boundary=on_boundary)
-        row = DeviceTelemetry.from_device(rep_id, device, run_result,
-                                          runtime).to_row()
-        return CohortRun(key, members, row, device=device, runtime=runtime,
-                         ledger=ledger, nvm_image=SoAImage.from_nvm(device.nvm))
+        cohort.row = DeviceTelemetry.from_device(rep_id, device, run_result,
+                                                 runtime).to_row()
+        cohort.device, cohort.runtime, cohort.ledger = device, runtime, ledger
+        cohort.nvm_image = SoAImage.from_nvm(device.nvm)
 
     # ------------------------------------------------------------------
     def _run_divergent_lane(self, device_id: int, schedule: Sequence[int],

@@ -24,8 +24,12 @@ Three layers, one per piece of ``repro.sim.batch``:
   (divergence), lanes whose perturbation was fully absorbed (rejoin),
   and waves whose ids are shuffled and non-contiguous. The compact
   rollup (``weighted_summary``) is held to the exact ``aggregate``.
+  Representatives run on the worker pool (``jobs=2``) must give the
+  rollouts, rows and lanes of in-process ones (``jobs=1``).
 """
 
+import multiprocessing
+import os
 import random
 from dataclasses import replace
 
@@ -35,7 +39,7 @@ from hypothesis import strategies as st
 
 from repro.core.generator import generate_machines
 from repro.errors import StateMachineError
-from repro.fleet.control import ControlPlane
+from repro.fleet.control import ControlPlane, WaveTask
 from repro.fleet.server import (
     FLEET_SPEC_REGRESSING,
     FLEET_SPEC_V2,
@@ -54,6 +58,8 @@ from repro.sim.batch import (
     weighted_summary,
 )
 from repro.sim.batch.layout import group_lanes
+from repro.sim.experiments import SweepPointError
+from repro.sim.pool import ResultCache, get_pool, shutdown_pools
 from repro.statemachine.interpreter import MachineInstance
 from repro.statemachine.model import (
     BinOp,
@@ -582,6 +588,155 @@ class TestLaneBookkeeping:
             got = [(key, list(members)) for key, members
                    in group_lanes(ids, core.cohort_key, backend)]
             assert got == want, backend
+
+
+# ---------------------------------------------------------------------------
+# Pooled representatives: jobs=2 against jobs=1
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_pool():
+    """A pool forked inside the test (after any patching) and reaped
+    after it, so patched workers never serve another test."""
+    shutdown_pools()
+    yield
+    shutdown_pools()
+
+
+def _ledger(plane):
+    return [(e.decision, e.regression_delta, e.rollback_devices)
+            for e in plane.ledger]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the worker pool needs the fork start method")
+class TestPooledRepresentatives:
+    """Representatives on the worker pool (``jobs=2``) against the
+    same waves run in-process (``jobs=1``)."""
+
+    IDS = list(range(8))
+
+    @staticmethod
+    def _core(server, seed_mode="per_cohort"):
+        plan = _plan(seed_mode=seed_mode)
+        wire = server.encode_update(FLEET_SPEC_V2, 2,
+                                    use_delta=plan.use_delta)
+        return BatchFleetCore(server, wire, 2, plan)
+
+    @pytest.mark.parametrize("expand_limit", [100_000, 0],
+                             ids=["expanded", "compact"])
+    @pytest.mark.parametrize("spec", [FLEET_SPEC_V2, FLEET_SPEC_REGRESSING],
+                             ids=["benign", "regressing"])
+    @pytest.mark.parametrize("seed_mode", ["per_cohort", "per_device"])
+    def test_rollout_matches_in_process(self, server, monkeypatch,
+                                        seed_mode, spec, expand_limit):
+        plan = _plan(seed_mode=seed_mode, lockstep=True,
+                     expand_limit=expand_limit)
+        inline = ControlPlane(server, plan=plan, jobs=1)
+        want = inline.run_rollout(spec, 12)
+        pool = get_pool(2)
+        chunks, runs = pool.chunks_dispatched, []
+        original = type(pool).run
+
+        def counted(self, task, items, **kwargs):
+            runs.append(len(items))
+            return original(self, task, items, **kwargs)
+
+        monkeypatch.setattr(type(pool), "run", counted)
+        pooled = ControlPlane(server, plan=plan, jobs=2)
+        got = pooled.run_rollout(spec, 12)
+        assert pool.chunks_dispatched > chunks
+        # One pool run per arm of every wave: treatment and control.
+        assert len(runs) == 2 * len(pooled.ledger)
+        assert got.to_dict() == want.to_dict()
+        assert _ledger(pooled) == _ledger(inline)
+
+    def test_singletons_match_the_streamed_rollout(self, server):
+        plan = _plan(seed_mode="per_device")
+        streamed = ControlPlane(server, plan=plan, jobs=2)
+        lockstep = ControlPlane(server, plan=replace(plan, lockstep=True),
+                                jobs=2)
+        assert (lockstep.run_rollout(FLEET_SPEC_V2, 12).to_dict()
+                == streamed.run_rollout(FLEET_SPEC_V2, 12).to_dict())
+        assert _ledger(lockstep) == _ledger(streamed)
+
+    def test_pooled_cohorts_keep_only_rows(self, server):
+        core = self._core(server)
+        want = core.run(self.IDS)
+        got = core.run(self.IDS, jobs=2)
+        assert got.rows() == want.rows()
+        assert got.expand() == want.expand()
+        for cohort in got.cohorts:
+            assert (cohort.device, cohort.runtime, cohort.ledger,
+                    cohort.nvm_image) == (None, None, None, None)
+        assert got.trace_events_for(0) is None
+        assert got.nvm_image_for(0) is None
+
+    def test_cold_pooled_wave_fills_the_cache(self, server, tmp_path):
+        core = self._core(server)
+        cache = ResultCache(tmp_path / "repro_cache")
+        cold = core.run(self.IDS, cache=cache, jobs=2)
+        assert not any(c.from_cache for c in cold.cohorts)
+        fingerprint = core.cache_fingerprint()
+        for cohort in cold.cohorts:
+            point = {"device_id": int(cohort.device_ids[0])}
+            assert cache.get(cache.key_for(fingerprint, point)) == cohort.row
+        warm = core.run(self.IDS, cache=cache, jobs=2)
+        assert all(c.from_cache for c in warm.cohorts)
+        assert warm.rows() == cold.rows() == core.run(self.IDS).rows()
+
+    def test_perturbed_cohort_stays_in_process(self, server):
+        core = self._core(server)
+        perturb = {1: (5,), 2: ()}
+        want = core.run(self.IDS, perturb=perturb)
+        got = core.run(self.IDS, perturb=perturb, jobs=2)
+        in_process = {core.cohort_key(d) for d in perturb}
+        for cohort in got.cohorts:
+            kept = cohort.ledger is not None and cohort.device is not None
+            assert kept == (cohort.key in in_process), cohort.key
+        assert list(got.lanes) == list(want.lanes)
+        for device_id, lane in got.lanes.items():
+            ref = want.lanes[device_id]
+            assert (lane.row, lane.rejoined, lane.rejoin_boundary,
+                    lane.trace_events) == (ref.row, ref.rejoined,
+                                           ref.rejoin_boundary,
+                                           ref.trace_events)
+            assert (lane.nvm_image.fingerprint()
+                    == ref.nvm_image.fingerprint())
+        assert got.rows() == want.rows()
+        assert got.expand() == want.expand()
+
+    def test_worker_failures_rerun_in_process(self, server, monkeypatch,
+                                              fresh_pool):
+        core = self._core(server, seed_mode="per_device")
+        want = core.run(self.IDS)
+        parent, original = os.getpid(), WaveTask.__call__
+        inline = []
+
+        def fail_in_workers(task, device_id):
+            if os.getpid() != parent:
+                raise RuntimeError("injected worker failure")
+            inline.append(device_id)
+            return original(task, device_id)
+
+        monkeypatch.setattr(WaveTask, "__call__", fail_in_workers)
+        got = core.run(self.IDS, jobs=2)
+        assert inline == self.IDS
+        assert got.rows() == want.rows()
+        assert got.expand() == want.expand()
+
+    def test_a_failure_everywhere_raises_naming_the_device(
+            self, server, monkeypatch, fresh_pool):
+        core = self._core(server, seed_mode="per_device")
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected build failure")
+
+        monkeypatch.setattr(FleetServer, "build_device", broken)
+        with pytest.raises(SweepPointError,
+                           match=r"device_id=0\].*build.*injected"):
+            core.run(self.IDS, jobs=2)
 
 
 # ---------------------------------------------------------------------------

@@ -362,3 +362,23 @@ class TestVerify:
     def test_unknown_runtime_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "--runtime", "freertos"])
+
+
+class TestFleetLockstepJobs:
+    ARGV = ["fleet", "rollout", "--lockstep", "--seed-mode", "per_cohort",
+            "--expand-limit", "0", "--devices", "12", "--waves", "0.5,1.0",
+            "--runs", "2", "--json"]
+
+    def test_jobs_run_representatives_on_the_pool(self, capsys):
+        """``-j`` counts for lockstep rollouts: at ``-j 2`` the cohort
+        representatives run on the pool and the report is unchanged."""
+        from repro.sim.pool import get_pool
+
+        assert main(self.ARGV + ["-j", "1"]) == 0
+        inline = capsys.readouterr().out
+        chunks = get_pool(2).chunks_dispatched
+        assert main(self.ARGV + ["-j", "2"]) == 0
+        pooled = capsys.readouterr().out
+        assert get_pool(2).chunks_dispatched > chunks
+        assert pooled == inline
+        assert json.loads(pooled)["devices_attempted"] == 12

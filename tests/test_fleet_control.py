@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import FleetError
 from repro.fleet.control import (
-    _FIELD_KINDS,
     ControlConfig,
     ControlPlane,
     ShardedRegistry,
@@ -21,6 +20,7 @@ from repro.fleet.control import (
     WaveTask,
 )
 from repro.fleet.server import (
+    _FIELD_KINDS,
     FLEET_SPEC_REGRESSING,
     FLEET_SPEC_V2,
     FleetServer,

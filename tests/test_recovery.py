@@ -1,5 +1,7 @@
 """Tests for the boot-time RecoveryManager and its runtime wiring."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core.actions import Action, ActionType
@@ -8,6 +10,7 @@ from repro.core.recovery import RecoveryManager
 from repro.core.runtime import ArtemisRuntime
 from repro.energy.environment import EnergyEnvironment
 from repro.energy.power import PowerModel, TaskCost
+from repro.nvm.memory import NonVolatileMemory
 from repro.sim.device import Device
 from repro.spec.validator import load_properties
 from repro.taskgraph.builder import AppBuilder
@@ -164,6 +167,70 @@ class TestRuntimeRecoveryWiring:
         runtime.recovery.on_boot(device)
         actions = [e.action for e in runtime.audit.entries()]
         assert any(a.startswith("recovery:") for a in actions)
+
+
+class TestScanSkippedWithoutCorruptionRecords:
+    """Only a cell with a corruption record can fail ``verify()``, so a
+    boot with none skips the checksum scan. Every boot must still
+    report, trace and audit exactly what the full scan would."""
+
+    @staticmethod
+    def _boot(corrupt=(), rewrite=(), full_scan=False):
+        """Boot a fresh runtime after corrupting ``corrupt`` and then
+        rewriting ``rewrite``; ``full_scan`` forces the scan."""
+        records = mock.patch.object(
+            NonVolatileMemory, "corruption_records",
+            new_callable=mock.PropertyMock, return_value=1)
+        verify = mock.patch.object(NonVolatileMemory, "verify",
+                                   autospec=True,
+                                   side_effect=NonVolatileMemory.verify)
+        device, runtime = make_runtime(audit_capacity=8)
+        device.nvm.alloc("spare", initial=0)  # matches no guard
+        for name in corrupt:
+            device.nvm.corrupt(name)
+        for name in rewrite:
+            device.nvm.cell(name).set(device.nvm.cell(name).get())
+        with verify as counted:
+            if full_scan:
+                with records:
+                    report = runtime.recovery.on_boot(device)
+            else:
+                report = runtime.recovery.on_boot(device)
+        return ((report, list(device.trace.events), runtime.audit.entries()),
+                counted.call_count)
+
+    def test_clean_boot_makes_no_verify_call(self):
+        outcome, verifies = self._boot()
+        assert verifies == 0
+        full, scanned = self._boot(full_scan=True)
+        assert scanned > 0
+        assert outcome == full
+        assert outcome[0].clean
+
+    def test_rewritten_cell_needs_no_scan(self):
+        outcome, verifies = self._boot(corrupt=("rt.status",),
+                                       rewrite=("rt.status",))
+        assert verifies == 0
+        assert outcome == self._boot(corrupt=("rt.status",),
+                                     rewrite=("rt.status",),
+                                     full_scan=True)[0]
+
+    @pytest.mark.parametrize("corrupt", [("rt.cur_path", "spare"),
+                                         ("spare", "rt.cur_path"),
+                                         ("spare",)],
+                             ids=["guarded+unguarded", "unguarded+guarded",
+                                  "unguarded"])
+    def test_corrupted_boot_matches_the_full_scan(self, corrupt):
+        outcome, verifies = self._boot(corrupt=corrupt)
+        assert verifies > 0
+        assert outcome == self._boot(corrupt=corrupt, full_scan=True)[0]
+        report, trace, audit = outcome
+        guarded = [name for name in corrupt if name != "spare"]
+        assert report.corrupted_cells == guarded
+        assert (len([e for e in trace if e.kind == "corruption_detected"])
+                == len(guarded))
+        assert (len([e for e in audit
+                     if e.action == "recovery:corruption"]) == len(guarded))
 
 
 class TestAuditClearTruthfulness:
