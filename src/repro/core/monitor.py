@@ -10,11 +10,12 @@ is finished by ``monitorFinalize`` after reboot (§4.2.3).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.actions import Action, ActionType
 from repro.core.events import MonitorEvent
-from repro.core.generator import build_monitor_plan
+from repro.core.generator import MonitorPlan, build_monitor_plan
 from repro.core.properties import Property, PropertySet
 from repro.errors import ReproError
 from repro.immortal.continuations import ImmortalRoutine, PersistentList
@@ -60,6 +61,27 @@ def subscription_tables(machines) -> tuple:
     return wildcard_set, dispatch
 
 
+#: Distinct property sets whose plan and generated classes are kept per
+#: process (a fleet or a crash search builds every monitor from the same
+#: few sets; bounded so distinct specs cannot grow memory).
+_MONITOR_PLANS = 64
+
+
+# Keyed by the properties themselves: they are frozen dataclasses,
+# hashable and compared by value, and equal properties generate equal
+# machines. The plan is shared read-only. A race between threads may
+# build an entry twice; both builds are equal.
+@functools.lru_cache(maxsize=_MONITOR_PLANS)
+def _monitor_plan(props: Tuple[Property, ...]) -> MonitorPlan:
+    return build_monitor_plan(props)
+
+
+@functools.lru_cache(maxsize=_MONITOR_PLANS)
+def _generated_classes(props: Tuple[Property, ...]) -> Tuple[Type, ...]:
+    return tuple(compile_machine(machine)
+                 for machine in _monitor_plan(props).machines)
+
+
 class ArtemisMonitor:
     """Monitors for one application's property set.
 
@@ -70,6 +92,10 @@ class ArtemisMonitor:
             default, mirroring the paper's pipeline) or ``"interpreted"``
             (reference interpreter).
         name: NVM namespace for this monitor's state.
+
+    The plan and the generated classes are built once per distinct
+    property set in a process and shared; each monitor allocates its
+    own machine stores, extern resolver and continuation cells.
     """
 
     def __init__(
@@ -84,7 +110,8 @@ class ArtemisMonitor:
         self.props = props
         self.name = name
         self._nvm = nvm
-        self.plan = build_monitor_plan(props)
+        key = tuple(props)
+        self.plan = _monitor_plan(key)
         self.machines = self.plan.machines
         self._props_by_machine: Dict[str, Property] = self.plan.prop_for_machine
         self.instances = []
@@ -98,14 +125,15 @@ class ArtemisMonitor:
         def extern(machine_name: str, var_name: str):
             return instances_by_name[machine_name].get(var_name)
 
-        for machine in self.machines:
+        classes = _generated_classes(key) if backend == "generated" else None
+        for idx, machine in enumerate(self.machines):
             # Machine state is advanced in place; crash-safety comes
             # from the monitor's own exactly-once protocol (last_seq
             # dedup + ImmortalRoutine), not from write privatization —
             # declare the store's cells WAR-exempt progress cells.
             store = NVMStore(nvm, f"{name}.{machine.name}", progress=True)
-            if backend == "generated":
-                instance = compile_machine(machine)(store, extern)
+            if classes is not None:
+                instance = classes[idx](store, extern)
             else:
                 instance = MachineInstance(machine, store, extern)
             instances_by_name[machine.name] = instance

@@ -169,9 +169,12 @@ class ArtemisRuntime:
         # and the boot-time recovery pass that resolves it, verifies
         # cell checksums, and repairs state invariants.
         self._journal = CommitJournal(nvm)
-        # Volatile: a queued monitor hot-swap (fleet OTA). Deliberately
-        # not in NVM — losing it to a crash only delays the swap until
-        # the transfer layer re-requests it after reboot.
+        # A queued monitor hot-swap (fleet OTA), kept out of NVM. A real
+        # device would lose it to a power failure and stage the bundle
+        # again after reboot. The simulator reboots this same object
+        # (``Device.run``), so a queued swap survives an injected crash
+        # and applies at the next path boundary; the lost-swap path is
+        # never executed.
         self._pending_swap = None
         self.recovery = RecoveryManager(nvm, journal=self._journal,
                                         monitor=self.monitor,

@@ -633,10 +633,14 @@ class ControlPlane:
         from repro.sim.batch import BatchFleetCore, weighted_summary
 
         plan = self.plan
-        treated = BatchFleetCore(self.server, wire, version, plan).run(
-            ids, cache=self.cache, jobs=self.jobs)
-        control = BatchFleetCore(self.server, None, version, plan).run(
-            ids, cache=self.cache, jobs=self.jobs)
+        treated_core = BatchFleetCore(self.server, wire, version, plan)
+        control_core = BatchFleetCore(self.server, None, version, plan)
+        # Both arms share the plan and backend, hence the partition.
+        groups = treated_core.partition(ids)
+        treated = treated_core.run(ids, cache=self.cache, jobs=self.jobs,
+                                   groups=groups)
+        control = control_core.run(ids, cache=self.cache, jobs=self.jobs,
+                                   groups=groups)
         rows = [(dict(row), count) for row, count in treated.rows()]
         if len(ids) <= plan.expand_limit:
             telemetry = treated.expand()

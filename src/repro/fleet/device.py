@@ -18,9 +18,14 @@ around an unmodified :class:`~repro.core.runtime.ArtemisRuntime`:
   and rolls the migration intention log forward.
 
 Everything durable lives in the transport staging area, the A/B slots
-and the journal; the wrapper's own attributes are rebuilt from NVM on
-every boot, so a power failure at any point leaves the device either
-running the old monitor set or the new one — never a mixture.
+and the journal, so a power failure at any point leaves the device
+either running the old monitor set or the new one — never a mixture.
+The wrapper's ``_swap_queued`` and ``_monitor_version`` and the inner
+runtime's queued swap are volatile on a real device. The simulator
+reboots the same objects, so they survive an injected crash: a swap
+queued before the crash still applies at the next path boundary, and a
+real device's path of losing it and staging the bundle again after
+reboot is never executed.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ threshold while the new version is on probation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FleetError
 from repro.fleet.bundle import CompatDiff, MonitorBundle, compat_diff
@@ -75,6 +75,8 @@ class BundleInstaller:
         self._probation = nvm.alloc(f"{name}.probation", False, 1,
                                     progress=True)
         self._migrate = nvm.alloc(f"{name}.migrate", None, 16, progress=True)
+        #: slot -> (payload object, slot write count, decoded bundle).
+        self._decoded: Dict[str, Tuple[object, int, MonitorBundle]] = {}
 
     # ------------------------------------------------------------------
     # Slot access
@@ -91,12 +93,25 @@ class BundleInstaller:
         return "b" if self.active_slot == "a" else "a"
 
     def _bundle_in(self, which: Optional[str]) -> Optional[MonitorBundle]:
+        """The bundle in slot ``which``, decoded once per slot write.
+
+        The decode is reused while the slot holds the same payload
+        object with the same write count: identity catches a corrupted
+        slot, the count a payload mutated in place and written back. A
+        decode error is raised again on every call.
+        """
         if which is None:
             return None
-        payload = self._slot_cell(which).get()
+        cell = self._slot_cell(which)
+        payload = cell.get()
         if payload is None:
             return None
-        return MonitorBundle.from_payload(payload)
+        count = self._nvm.writes_to(cell.name)
+        memo = self._decoded.get(which)
+        if memo is None or memo[0] is not payload or memo[1] != count:
+            memo = (payload, count, MonitorBundle.from_payload(payload))
+            self._decoded[which] = memo
+        return memo[2]
 
     def active_bundle(self) -> Optional[MonitorBundle]:
         return self._bundle_in(self.active_slot)

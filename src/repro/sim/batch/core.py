@@ -286,6 +286,13 @@ class BatchFleetCore:
             return device_id % 4
         return device_id
 
+    def partition(self, device_ids: Sequence[int]) -> List[Tuple[Any, Any]]:
+        """``(key, members)`` per cohort of ``device_ids``, in
+        ``repr(key)`` order (:func:`group_lanes` by :meth:`cohort_key`
+        on this core's backend). Cores of one plan and backend partition
+        alike, so a wave's treated and control cores can share one."""
+        return group_lanes(device_ids, self.cohort_key, self.backend)
+
     def _build(self, device_id: int):
         return self.server.build_device(device_id, self.wire, self.version,
                                         self.plan)
@@ -302,7 +309,8 @@ class BatchFleetCore:
     # ------------------------------------------------------------------
     def run(self, device_ids: Sequence[int], cache: Any = None,
             perturb: Optional[Dict[int, Sequence[int]]] = None,
-            jobs: int = 1) -> BatchResult:
+            jobs: int = 1, groups: Optional[Sequence[Tuple[Any, Any]]] = None
+            ) -> BatchResult:
         """Simulate ``device_ids`` as a lockstep batch: one scalar
         representative per cohort, whose row stands for every lane of
         the cohort.
@@ -324,6 +332,11 @@ class BatchFleetCore:
                 matches the ledger.
             jobs: pool workers for the pending representatives
                 (1 = in-process).
+            groups: ``device_ids`` already partitioned by
+                :meth:`partition` (of this core or of one with the same
+                plan and backend); omitted, the wave is partitioned
+                here. Read only: the members become the cohorts'
+                ``device_ids``.
         """
         result = BatchResult(device_ids)
         if not result.device_ids:
@@ -341,8 +354,9 @@ class BatchFleetCore:
         cache = _normalize_cache(cache)
         fingerprint = self.cache_fingerprint() if cache is not None else None
         pending: List[CohortRun] = []
-        for key, members in group_lanes(result.device_ids, self.cohort_key,
-                                        self.backend):
+        if groups is None:
+            groups = self.partition(result.device_ids)
+        for key, members in groups:
             divergent = diverging.get(key, [])
             cached_row = None
             if cache is not None and not divergent:

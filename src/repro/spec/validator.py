@@ -20,6 +20,7 @@ implies):
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.actions import ActionType
@@ -448,6 +449,24 @@ def validate(model: SpecModel, app: Application) -> PropertySet:
     return props
 
 
+#: Distinct spec texts whose parse is kept per process (a fleet or a
+#: crash search provisions every device from the same few texts).
+_PARSED_SPECS = 64
+
+
+@functools.lru_cache(maxsize=_PARSED_SPECS)
+def _parsed(source: str) -> SpecModel:
+    # Shared read-only: :func:`validate` never mutates the model, and
+    # no caller of :func:`load_properties` sees it. A parse error is
+    # raised again on every call; ``lru_cache`` caches only returns.
+    return parse_spec(source)
+
+
 def load_properties(source: str, app: Application) -> PropertySet:
-    """Parse + validate in one step."""
-    return validate(parse_spec(source), app)
+    """Parse + validate in one step.
+
+    The parse is shared per source text across the process; validation
+    against ``app`` runs on every call, since it reads the app's tasks,
+    paths and monitored variables.
+    """
+    return validate(_parsed(source), app)

@@ -57,6 +57,7 @@ from repro.sim.batch import (
     SoAImage,
     weighted_summary,
 )
+from repro.sim.batch import core as batch_core
 from repro.sim.batch.layout import group_lanes
 from repro.sim.experiments import SweepPointError
 from repro.sim.pool import ResultCache, get_pool, shutdown_pools
@@ -399,6 +400,38 @@ class TestFleetDifferential:
                     for w in expanded_ledger])
         if spec is FLEET_SPEC_REGRESSING:
             assert expanded.halted and expanded_ledger[-1].rollback_devices
+
+    @pytest.mark.parametrize("expand_limit", [100_000, 0],
+                             ids=["expanded", "compact"])
+    def test_each_wave_partitions_once(self, server, monkeypatch,
+                                       expand_limit):
+        """Both arms of a lockstep wave share one partition; the rollout
+        equals one whose arms partition the wave each on their own."""
+        plan = _plan(seed_mode="per_cohort", lockstep=True,
+                     expand_limit=expand_limit)
+        sizes = []
+
+        def counting(ids, key, backend):
+            sizes.append(len(ids))
+            return group_lanes(ids, key, backend)
+
+        monkeypatch.setattr(batch_core, "group_lanes", counting)
+        shared = ControlPlane(server, plan=plan)
+        got = shared.run_rollout(FLEET_SPEC_V2, 12)
+        assert len(shared.ledger) == 2
+        assert sizes == [6, 6]
+
+        sizes.clear()
+        run = BatchFleetCore.run
+        monkeypatch.setattr(
+            BatchFleetCore, "run",
+            lambda core, ids, groups=None, **kw: run(core, ids, **kw))
+        separate = ControlPlane(server, plan=plan)
+        want = separate.run_rollout(FLEET_SPEC_V2, 12)
+        # Per wave: the plane's (now unused) partition, then one per arm.
+        assert sizes == [6] * 6
+        assert got.to_dict() == want.to_dict()
+        assert _ledger(shared) == _ledger(separate)
 
     def test_traces_and_final_nvm_byte_identical(self, server):
         plan = _plan(seed_mode="per_cohort")

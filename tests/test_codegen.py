@@ -2,6 +2,10 @@
 differential testing of generated Python monitors against the reference
 interpreter."""
 
+import copy
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +24,7 @@ from repro.core.properties import (
     PropertySet,
 )
 from repro.nvm.memory import NonVolatileMemory
+from repro.spec.validator import load_properties
 from repro.statemachine.codegen_c import (
     generate_c_bundle,
     generate_c_source,
@@ -43,6 +48,7 @@ from repro.statemachine.model import (
     Var,
     Variable,
 )
+from repro.verify.workloads import VERIFY_TEMPORAL_SPEC, _temporal_app
 
 
 def sample_properties():
@@ -104,19 +110,21 @@ class TestPythonCodegen:
 
 
 class TestCompiledClassSharing:
-    """Generated classes are shared process-wide by source text; the
-    state behind them is not."""
+    """Plans are shared process-wide by property set and generated
+    classes by source text; the state behind them is not."""
 
     @staticmethod
-    def _tries(limit):
-        return MaxTries(task="A", on_fail=ActionType.SKIP_PATH, limit=limit)
+    def _tries(limit, priority=0):
+        return MaxTries(task="A", on_fail=ActionType.SKIP_PATH, limit=limit,
+                        priority=priority)
 
-    def _monitor(self, limit):
+    def _monitor(self, limit, priority=0, nvm=None, backend="generated"):
         props = PropertySet()
-        props.add(self._tries(limit))
+        props.add(self._tries(limit, priority))
         props.add(Collect(task="A", on_fail=ActionType.RESTART_PATH,
                           dep_task="B", count=2))
-        return ArtemisMonitor(props, NonVolatileMemory())
+        return ArtemisMonitor(props, nvm if nvm is not None
+                              else NonVolatileMemory(), backend=backend)
 
     @staticmethod
     def _classes(monitor):
@@ -129,14 +137,21 @@ class TestCompiledClassSharing:
                 for m, inst in zip(monitor.machines, monitor.instances)]
 
     def test_one_spec_shares_classes_but_not_state(self):
-        a, b = self._monitor(3), self._monitor(3)
+        a_nvm, b_nvm = NonVolatileMemory(), NonVolatileMemory()
+        a, b = self._monitor(3, nvm=a_nvm), self._monitor(3, nvm=b_nvm)
+        assert a.plan is b.plan
         for x, y in zip(a.instances, b.instances):
             assert type(x) is type(y)
+            assert x is not y
         untouched = self._state(b)
+        cells = copy.deepcopy(dict(b_nvm.raw_items()))
+        writes = b_nvm.write_count
         for t in range(3):
             a.call(start_event("A", float(t)))
         assert self._state(a) != untouched
         assert self._state(b) == untouched
+        assert dict(b_nvm.raw_items()) == cells
+        assert b_nvm.write_count == writes
 
     def test_changed_machine_alone_gets_a_new_class(self):
         base = self._classes(self._monitor(3))
@@ -145,6 +160,99 @@ class TestCompiledClassSharing:
         tries = self._tries(3).machine_name()
         for name, cls in base.items():
             assert (changed[name] is cls) == (name != tries)
+
+    def test_one_field_apart_gets_its_own_plan(self):
+        base, later = self._monitor(3), self._monitor(3, priority=2)
+        assert base.plan is not later.plan
+        tries = self._tries(3).machine_name()
+        assert base.machine_priority(tries) == 0
+        assert later.machine_priority(tries) == 2
+        assert self._monitor(3, priority=2).plan is later.plan
+
+    def test_interpreted_backend_runs_the_shared_machines(self):
+        generated = self._monitor(3)
+        interpreted = self._monitor(3, backend="interpreted")
+        assert interpreted.plan is generated.plan
+        for machine, instance in zip(interpreted.machines,
+                                     interpreted.instances):
+            assert isinstance(instance, MachineInstance)
+            assert instance.machine is machine
+        for t in range(4):
+            event = start_event("A", float(t))
+            assert generated.call(event) == interpreted.call(event)
+        assert self._state(generated) == self._state(interpreted)
+
+    def test_temporal_sets_share_plans_not_sub_monitor_state(self):
+        app = _temporal_app()
+        loads = [load_properties(VERIFY_TEMPORAL_SPEC, app) for _ in range(2)]
+        assert loads[0] is not loads[1]
+        assert hash(tuple(loads[0])) == hash(tuple(loads[1]))
+        monitors = {backend: [ArtemisMonitor(props, NonVolatileMemory(),
+                                             backend=backend)
+                              for props in loads]
+                    for backend in ("generated", "interpreted")}
+        plan = monitors["generated"][0].plan
+        assert plan.sub_owners
+        assert all(m.plan is plan for pair in monitors.values() for m in pair)
+        events = [make(task, t, path=1) for t, (make, task) in enumerate([
+            (start_event, "send"), (end_event, "send"),
+            (start_event, "sense"), (end_event, "sense"),
+            (start_event, "process"), (end_event, "process"),
+            (start_event, "send"), (end_event, "send")])]
+        verdicts = {}
+        for backend, (first, second) in monitors.items():
+            got = [first.call(event) for event in events]
+            assert [second.call(event) for event in events] == got
+            verdicts[backend] = got
+        assert any(verdicts["generated"])
+        assert verdicts["generated"] == verdicts["interpreted"]
+
+
+class TestSharedPlansUnderThreads:
+    """The streamed control plane builds both arms' devices on executor
+    threads at once. A race may build a memo entry twice but must never
+    hand a monitor another property set's plan or classes."""
+
+    SPECS = [VERIFY_TEMPORAL_SPEC] + [
+        f"sense {{ maxTries: {n} onFail: skipPath; }}" for n in range(2, 7)]
+
+    def test_concurrent_builds_match_their_own_properties(self):
+        import repro.core.monitor as monitor_module
+        import repro.spec.validator as validator
+
+        validator._parsed.cache_clear()
+        monitor_module._monitor_plan.cache_clear()
+        monitor_module._generated_classes.cache_clear()
+        app = _temporal_app()
+        errors = []
+
+        def build(worker):
+            try:
+                for i in range(24):
+                    spec = self.SPECS[(worker + i) % len(self.SPECS)]
+                    props = load_properties(spec, app)
+                    monitor = ArtemisMonitor(props, NonVolatileMemory())
+                    assert (list(monitor.plan.prop_for_machine.values())
+                            == list(props)), spec
+                    for machine, instance in zip(monitor.machines,
+                                                 monitor.instances):
+                        assert type(instance) is compile_machine(machine)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(w,))
+                       for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
 
 
 def _event_stream_strategy():

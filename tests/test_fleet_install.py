@@ -11,7 +11,7 @@ active pointer and the migration intention log never disagree.
 import pytest
 
 from repro.errors import FleetError, PowerFailure
-from repro.fleet.bundle import build_bundle
+from repro.fleet.bundle import MonitorBundle, build_bundle
 from repro.fleet.install import BundleInstaller
 from repro.nvm.journal import CommitJournal
 from repro.nvm.memory import NonVolatileMemory
@@ -189,3 +189,71 @@ class TestMigration:
         actions = installer.finish_migration(monitor)
         assert "drop:collect_send_p1" in actions
         assert "monitor.collect_send_p1.state" not in nvm
+
+
+class TestDecodeMemo:
+    """Each slot is decoded once per write, and the decode follows every
+    write, corruption and written-back mutation exactly as an uncached
+    decode does."""
+
+    @staticmethod
+    def _uncached(installer, nvm, slot):
+        payload = nvm.cell(f"slots.{slot}").get()
+        return None if payload is None else MonitorBundle.from_payload(payload)
+
+    def _check(self, installer, nvm):
+        for slot in ("a", "b"):
+            assert installer._bundle_in(slot) == self._uncached(
+                installer, nvm, slot)
+        active = installer.active_slot
+        assert installer.active_bundle() == self._uncached(installer, nvm,
+                                                           active)
+        assert installer.standby_bundle() == self._uncached(
+            installer, nvm, installer.standby_slot)
+        return installer.active_bundle()
+
+    def test_follows_the_install_protocol(self):
+        v1, v2 = _bundles()
+        installer, nvm, _ = _installer()
+        assert installer.active_bundle() is None
+        installer.install_initial(v1)
+        assert self._check(installer, nvm) == v1
+        assert installer.active_bundle() is installer.active_bundle()
+        installer.stage(v2)
+        assert self._check(installer, nvm) == v1
+        assert installer.standby_bundle() == v2
+        installer.activate()
+        assert self._check(installer, nvm) == v2
+        assert installer.standby_bundle() == v1
+        installer.rollback()
+        assert self._check(installer, nvm) == v1
+        installer.stage(v2)  # restage over the same slot: a new write
+        assert self._check(installer, nvm) == v1
+        assert installer.standby_bundle() == v2
+
+    def test_follows_corruption_and_written_back_mutation(self):
+        v1, _ = _bundles()
+        installer, nvm, _ = _installer()
+        installer.install_initial(v1)
+        assert self._check(installer, nvm) == v1
+        nvm.corrupt("slots.a", bit=1)  # flips the payload's first field
+        corrupted = self._check(installer, nvm)
+        assert corrupted != v1
+        cell = nvm.cell("slots.a")
+        cell.set(v1.payload())
+        assert self._check(installer, nvm) == v1
+        payload = cell.get()
+        payload["version"] = 7
+        cell.set(payload)  # same object, one more write
+        assert self._check(installer, nvm).version == 7
+
+    def test_decode_error_is_raised_on_every_call(self):
+        v1, _ = _bundles()
+        installer, nvm, _ = _installer()
+        installer.install_initial(v1)
+        nvm.cell("slots.a").set({"name": "monitor"})
+        for _ in range(2):
+            with pytest.raises(FleetError, match="malformed bundle payload"):
+                installer.active_bundle()
+        nvm.cell("slots.a").set(v1.payload())
+        assert installer.active_bundle() == v1

@@ -92,3 +92,28 @@ class TestOtaBuildsStayIndependent:
         assert first.update_outcome == "installed"
         assert second_device.nvm.state_fingerprint() == untouched
         assert second.update_outcome == "pending"
+
+
+class TestMonitorPlansBuiltOnce:
+    """Every schedule provisions a fresh device, and every device builds
+    its monitors; the plans behind them are built once per distinct
+    property set in the process."""
+
+    def test_bound_2_builds_each_property_set_once(self, monkeypatch):
+        import repro.core.monitor as monitor
+
+        monitor._monitor_plan.cache_clear()
+        monitor._generated_classes.cache_clear()
+        built = []
+        real = monitor.build_monitor_plan
+
+        def counting(props):
+            built.append(tuple(props))
+            return real(props)
+
+        monkeypatch.setattr(monitor, "build_monitor_plan", counting)
+        report = _explorer().explore(bound=2, budget=1000, por=True)
+        assert report.ok and not report.truncated, report.summary()
+        assert report.schedules_checked > 80
+        # v1 on every device, v2 after the swap: two sets, one build each.
+        assert len(built) == len(set(built)) == 2

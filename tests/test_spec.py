@@ -298,3 +298,55 @@ class TestPropertyModelInvariants:
             Collect(task="a", on_fail=ActionType.RESTART_PATH, dep_task="b", count=0)
         with pytest.raises(SpecValidationError):
             MITD(task="a", on_fail=ActionType.RESTART_PATH, dep_task="", limit_s=1.0)
+
+
+class TestParseMemo:
+    """``load_properties`` parses each source text once per process;
+    validation against the app still runs on every call."""
+
+    SPEC = "accel { maxTries: 3 onFail: skipPath Path: 2; }"
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        import repro.spec.validator as validator
+
+        validator._parsed.cache_clear()
+        calls = []
+
+        def counting(source):
+            calls.append(source)
+            return parse_spec(source)
+
+        monkeypatch.setattr(validator, "parse_spec", counting)
+        yield calls
+        validator._parsed.cache_clear()
+
+    def test_repeated_loads_parse_once(self, parses, health_app):
+        first = load_properties(self.SPEC, health_app)
+        second = load_properties(self.SPEC, build_health_app())
+        assert parses == [self.SPEC]
+        assert list(first) == list(second)
+        assert first is not second
+        assert first.properties is not second.properties
+
+    def test_validation_runs_against_every_app(self, parses, health_app):
+        load_properties(self.SPEC, health_app)
+        other = (AppBuilder("other").task("sense").task("send")
+                 .path(1, ["sense", "send"]).build())
+        with pytest.raises(SpecValidationError, match="unknown task 'accel'"):
+            load_properties(self.SPEC, other)
+        assert parses == [self.SPEC]
+
+    def test_parse_error_raised_on_every_call(self, parses, health_app):
+        broken = "accel { maxTries: 3 onFail: skipPath Path: 2; "
+        for _ in range(3):
+            with pytest.raises(SpecSyntaxError):
+                load_properties(broken, health_app)
+        assert parses == [broken] * 3
+
+    def test_models_from_parse_spec_stay_private(self, parses, health_app):
+        want = list(load_properties(self.SPEC, health_app))
+        model = parse_spec(self.SPEC)
+        model.blocks.clear()
+        assert list(load_properties(self.SPEC, health_app)) == want
+        assert parse_spec(self.SPEC).blocks
