@@ -12,6 +12,8 @@ differential-testable.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from typing import Any, Dict, MutableMapping, Optional, Type
 
 from repro.errors import GenerationError, StateMachineError
@@ -184,12 +186,30 @@ def compile_machine(machine: StateMachine) -> Type:
     provisioned from one spec compiles each machine once per process;
     each instance still keeps its own store and extern resolver.
     """
-    return _compile(generate_python_source(machine), class_name(machine))
+    source = generate_python_source(machine)
+    # Two threads that miss on one source would each compile a class,
+    # and one caller would keep a class the cache no longer returns.
+    with _compile_lock:
+        return _compile(source, class_name(machine))
 
 
 #: Distinct generated classes kept per process (far above any one
 #: spec's machine count; bounded so distinct specs cannot grow memory).
 _COMPILED_CLASSES = 256
+
+#: Serializes :func:`_compile` misses. Re-created in a forked child, so
+#: a pool worker forked while another thread compiles does not inherit
+#: it held (as :mod:`logging` does for its module lock).
+_compile_lock = threading.Lock()
+
+
+def _reset_compile_lock() -> None:
+    global _compile_lock
+    _compile_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_compile_lock)
 
 
 @functools.lru_cache(maxsize=_COMPILED_CLASSES)

@@ -3,8 +3,12 @@ differential testing of generated Python monitors against the reference
 interpreter."""
 
 import copy
+import os
+import signal
 import sys
 import threading
+import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +257,60 @@ class TestSharedPlansUnderThreads:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestCompileLockAfterFork:
+    """The persistent pool may fork a worker while another executor
+    thread holds the compile lock. The child must not inherit it held,
+    or its first class-cache miss blocks forever."""
+
+    TIMEOUT_S = 10.0
+
+    def test_child_compiles_while_a_parent_thread_holds_the_lock(self):
+        import repro.statemachine.codegen_python as codegen
+
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with codegen._compile_lock:
+                held.set()
+                release.wait(2 * self.TIMEOUT_S)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(5)
+            with warnings.catch_warnings():
+                # Python 3.12 warns about forking a threaded process.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    # A miss: the child compiles a class of its own.
+                    codegen._compile.cache_clear()
+                    machine = generate_machine(MaxTries(
+                        task="A", on_fail=ActionType.SKIP_PATH, limit=3))
+                    compile_machine(machine)
+                    status = 0
+                finally:
+                    os._exit(status)
+            deadline = time.monotonic() + self.TIMEOUT_S
+            while True:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail(f"forked child still blocked on its first "
+                                f"compile after {self.TIMEOUT_S} s")
+                time.sleep(0.01)
+            assert os.waitstatus_to_exitcode(status) == 0
+        finally:
+            release.set()
+            holder.join()
 
 
 def _event_stream_strategy():
