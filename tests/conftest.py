@@ -16,7 +16,8 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         action="store_true",
         default=False,
         help="rewrite tests/goldens/*.c from the current C code "
-             "generator instead of comparing against them",
+             "generator, and tests/goldens/runtime_faults.txt from the "
+             "current runtimes, instead of comparing against them",
     )
 
 
