@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.recovery import RecoveryManager
-from repro.core.retry import RetryPolicy, RetrySupervisor
+from repro.core.retry import RetryPolicy
+from repro.core.taskrun import PathRuntime, guard_mapping
 from repro.energy.power import PowerModel
 from repro.errors import PeripheralError, RuntimeConfigError
-from repro.nvm.journal import CommitJournal
 from repro.nvm.transaction import Transaction
 from repro.taskgraph.app import Application
-from repro.taskgraph.context import TaskContext, channel_cell_name
+from repro.taskgraph.context import TaskContext
 
 #: An inline check runs inside the task, sees the context, and returns
 #: ``None`` (proceed) or one of ``"restart_path"`` / ``"skip_path"`` /
@@ -28,7 +27,7 @@ InlineCheck = Callable[[TaskContext], Optional[str]]
 _CHECK_RESULTS = (None, "restart_path", "skip_path", "skip_task")
 
 
-class ChainRuntime:
+class ChainRuntime(PathRuntime):
     """Executes paths with developer-written checks entangled in tasks."""
 
     TRANSITION_S = 0.40e-3  # bare transition; checks are app code
@@ -46,52 +45,17 @@ class ChainRuntime:
         for task in checks:
             if not app.has_task(task):
                 raise RuntimeConfigError(f"inline check for unknown task {task!r}")
-        self.app = app
+        super().__init__(app, device, power_model, peripherals)
         self.checks = checks
-        self.power = power_model
-        self._device = device
-        self.peripherals = peripherals
         nvm = device.nvm
-        self._retry = RetrySupervisor(nvm, retry_policy or RetryPolicy(),
-                                      cell_name="ch.retry.attempts")
-        self._retry_cell = nvm.cell(self._retry.cell_name)
-        self._cur_path = nvm.alloc("ch.cur_path", 1, 2, progress=True)
-        self._cur_idx = nvm.alloc("ch.cur_idx", 0, 2, progress=True)
-        self._finished = nvm.alloc("ch.finished", False, 1, progress=True)
+        self._alloc_cursor("ch", retry_policy)
         # Trace events owed for a committed-but-interrupted transaction.
         # Staged in the same journaled commit as the control updates, so
         # the record of a route change is exactly as durable as its
         # effect; replayed (once) at boot if the crash swallowed it.
         self._pending_trace = nvm.alloc("ch.pending_trace", [], 2)
-        self._journal = CommitJournal(nvm)
-        self.recovery = RecoveryManager(nvm, journal=self._journal)
-        self.recovery.guard("ch.")
-        self.recovery.guard("chan.")
-        self.recovery.add_invariant(
-            "ch.cur_path in range",
-            lambda: 1 <= self._cur_path.get() <= len(app.paths),
-            lambda: (self._cur_path.set(1), self._cur_idx.set(0)),
-        )
-        self.recovery.add_invariant(
-            "ch.cur_idx in range",
-            lambda: (0 <= self._cur_idx.get()
-                     < len(app.path(self._cur_path.get()))),
-            lambda: self._cur_idx.set(0),
-        )
-        self.recovery.add_invariant(
-            "ch.retry.attempts is a mapping",
-            lambda: isinstance(self._retry_cell.get(), dict),
-            lambda: self._retry_cell.set({}),
-        )
-
-    @property
-    def finished(self) -> bool:
-        return self._finished.get()
-
-    @property
-    def current_task_name(self) -> str:
-        path = self.app.path(self._cur_path.get())
-        return path.task_names[self._cur_idx.get()]
+        self._guard_cursor("ch")
+        guard_mapping(self.recovery, self._retry_cell)
 
     def boot(self, device) -> None:
         """Resolve any interrupted commit before the loop resumes."""
@@ -108,12 +72,6 @@ class ChainRuntime:
                 device.trace.record(now, kind, replayed=True, **dict(detail))
             self._pending_trace.set([])
 
-    def begin_run(self, device) -> None:
-        self._device = device
-        self._cur_path.set(1)
-        self._cur_idx.set(0)
-        self._finished.set(False)
-
     def loop_iteration(self, device) -> None:
         self._device = device
         if self.finished:
@@ -123,16 +81,7 @@ class ChainRuntime:
                                   sense_power_w=self.power.overhead_power_w)
         name = self.current_task_name
         device.consume(self.TRANSITION_S, self.power.overhead_power_w, "runtime")
-        task = self.app.task(name)
-        cost = self.power.cost_of(name)
-        device.trace.record(device.sim_clock.now(), "task_start", task=name,
-                            path=self._cur_path.get())
-        if cost.fixed_energy_j:
-            device.consume_energy(cost.fixed_energy_j, "app")
-        device.consume(cost.duration_s, cost.power_w, "app")
-        txn = Transaction(device.nvm, journal=self._journal)
-        ctx = TaskContext(name, device.nvm, txn, self.app.sensors, device.now,
-                          peripherals=self.peripherals)
+        task, txn, ctx = self._begin_attempt(name)
         outcome: Optional[str] = None
         check = self.checks.get(name)
         if check is not None:
@@ -143,13 +92,8 @@ class ChainRuntime:
                 raise RuntimeConfigError(
                     f"inline check for {name!r} returned {outcome!r}"
                 )
-        if task.body is not None and outcome is None:
-            try:
-                task.body(ctx)
-            except PeripheralError as exc:
-                txn.rollback()
-                self._handle_peripheral_failure(name, exc)
-                return
+        if outcome is None and not self._run_body(task, txn, ctx):
+            return
         # Route *planning* happens before the commit so the control-state
         # updates ride in the same journaled transaction as the channel
         # writes: a crash inside the commit either re-executes the whole
@@ -171,68 +115,29 @@ class ChainRuntime:
             device.trace.record(device.sim_clock.now(), kind, **detail)
         self._pending_trace.set([])
 
-    def _handle_peripheral_failure(self, name: str, exc: PeripheralError) -> None:
-        """Retry a peripheral-failed task; skip it when retries exhaust.
+    def _escalate(self, name: str, exc: PeripheralError) -> None:
+        """Skip the task when its retries are exhausted.
 
         Like the developer-written checks, the recovery code here is
         hand-wired into the runtime (problem P1): the only escalation is
         skipping the task with a marked-degraded channel value.
         """
         device = self._device
-        policy = self._retry.policy
-        attempt = self._retry.record_failure(name)
-        if attempt >= policy.max_attempts:
-            self._retry.clear(name)
-            device.result.watchdog_trips += 1
-            device.trace.record(
-                device.sim_clock.now(), "watchdog_trip", task=name,
-                attempts=attempt, sensor=exc.sensor, fault=exc.fault,
-            )
-            self._mark_degraded(name)
-            updates, events = self._plan_route("skip_task")
-            txn = Transaction(device.nvm, journal=self._journal)
-            for cell_name, value in updates:
-                txn.stage(cell_name, value)
-            owed = ([("task_skip", {"task": name,
-                                    "path": self._cur_path.get(),
-                                    "source": "watchdog"})]
-                    + [(kind, dict(detail)) for kind, detail in events])
-            txn.stage(self._pending_trace.name, owed)
-            txn.commit(spend=self._spend_commit_step,
+        self._mark_degraded(name)
+        updates, events = self._plan_route("skip_task")
+        txn = Transaction(device.nvm, journal=self._journal)
+        for cell_name, value in updates:
+            txn.stage(cell_name, value)
+        owed = ([("task_skip", {"task": name,
+                                "path": self._cur_path.get(),
+                                "source": "watchdog"})]
+                + [(kind, dict(detail)) for kind, detail in events])
+        txn.stage(self._pending_trace.name, owed)
+        txn.commit(spend=self._spend_commit_step,
                    on_step=self._label_commit_step)
-            for kind, detail in owed:
-                device.trace.record(device.sim_clock.now(), kind, **detail)
-            self._pending_trace.set([])
-            return
-        device.result.task_retries += 1
-        device.trace.record(
-            device.sim_clock.now(), "task_retry", task=name,
-            attempt=attempt, sensor=exc.sensor, fault=exc.fault,
-        )
-        backoff = policy.backoff_s(name, attempt)
-        if backoff > 0:
-            device.consume(backoff, self.power.overhead_power_w, "runtime")
-        if policy.retry_energy_j:
-            device.consume_energy(policy.retry_energy_j, "runtime")
-
-    def _mark_degraded(self, name: str) -> None:
-        cell_name = channel_cell_name(f"degraded.{name}")
-        if cell_name not in self._device.nvm:
-            self._device.nvm.alloc(cell_name, initial=False, size_bytes=8)
-        self._device.nvm.cell(cell_name).set(True)
-
-    def _spend_commit_step(self) -> None:
-        """Pay one journal step; each step is a distinct crash point."""
-        self._device.consume(self.power.commit_step_s,
-                             self.power.overhead_power_w, "commit")
-
-    def _label_commit_step(self, label: str) -> None:
-        """Forward commit-step labels to an attached crash scheduler."""
-        scheduler = getattr(self._device, "scheduler", None)
-        if scheduler is not None:
-            annotate = getattr(scheduler, "annotate", None)
-            if annotate is not None:
-                annotate(label)
+        for kind, detail in owed:
+            device.trace.record(device.sim_clock.now(), kind, **detail)
+        self._pending_trace.set([])
 
     def _plan_route(
         self, outcome: Optional[str]

@@ -18,16 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.recovery import RecoveryManager
-from repro.core.retry import RetryPolicy, RetrySupervisor
+from repro.core.retry import RetryPolicy
+from repro.core.taskrun import PathRuntime, guard_mapping
 from repro.energy.power import PowerModel
 from repro.errors import PeripheralError, RuntimeConfigError
-from repro.nvm.journal import CommitJournal
 from repro.nvm.transaction import Transaction
 from repro.taskgraph.app import Application
-from repro.taskgraph.context import TaskContext, channel_cell_name
-
-_READY = "TASK_READY"
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class MayflyConfig:
         )
 
 
-class MayflyRuntime:
+class MayflyRuntime(PathRuntime):
     """Task-graph executor with hardcoded freshness/collection checks.
 
     Interface-compatible with :class:`~repro.core.ArtemisRuntime` so the
@@ -91,71 +87,21 @@ class MayflyRuntime:
         for rule in list(config.expirations) + list(config.collections):
             if not app.has_task(rule.task) or not app.has_task(rule.dep_task):
                 raise RuntimeConfigError(f"Mayfly rule references unknown task: {rule}")
-        self.app = app
+        super().__init__(app, device, power_model, peripherals)
         self.config = config
-        self.power = power_model
-        self._device = device
-        self.peripherals = peripherals
         nvm = device.nvm
-        self._retry = RetrySupervisor(nvm, retry_policy or RetryPolicy(),
-                                      cell_name="mf.retry.attempts")
-        self._retry_cell = nvm.cell(self._retry.cell_name)
-        self._cur_path = nvm.alloc("mf.cur_path", 1, 2, progress=True)
-        self._cur_idx = nvm.alloc("mf.cur_idx", 0, 2, progress=True)
-        self._finished = nvm.alloc("mf.finished", False, 1, progress=True)
+        self._alloc_cursor("mf", retry_policy)
         self._end_times = nvm.alloc("mf.end_times", {}, 32)
         self._counts = nvm.alloc("mf.counts", {}, 32, progress=True)
-        self._journal = CommitJournal(nvm)
-        self.recovery = RecoveryManager(nvm, journal=self._journal)
-        self.recovery.guard("mf.")
-        self.recovery.guard("chan.")
-        self.recovery.add_invariant(
-            "mf.cur_path in range",
-            lambda: 1 <= self._cur_path.get() <= len(app.paths),
-            lambda: (self._cur_path.set(1), self._cur_idx.set(0)),
-        )
-        self.recovery.add_invariant(
-            "mf.cur_idx in range",
-            lambda: (0 <= self._cur_idx.get()
-                     < len(app.path(self._cur_path.get()))),
-            lambda: self._cur_idx.set(0),
-        )
-        self.recovery.add_invariant(
-            "mf.end_times is a mapping",
-            lambda: isinstance(self._end_times.get(), dict),
-            lambda: self._end_times.set({}),
-        )
-        self.recovery.add_invariant(
-            "mf.counts is a mapping",
-            lambda: isinstance(self._counts.get(), dict),
-            lambda: self._counts.set({}),
-        )
-        self.recovery.add_invariant(
-            "mf.retry.attempts is a mapping",
-            lambda: isinstance(self._retry_cell.get(), dict),
-            lambda: self._retry_cell.set({}),
-        )
+        self._guard_cursor("mf")
+        for cell in (self._end_times, self._counts, self._retry_cell):
+            guard_mapping(self.recovery, cell)
 
     # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        return self._finished.get()
-
-    @property
-    def current_task_name(self) -> str:
-        path = self.app.path(self._cur_path.get())
-        return path.task_names[self._cur_idx.get()]
-
     def boot(self, device) -> None:
         """Resolve any interrupted commit before the loop resumes."""
         self._device = device
         self.recovery.on_boot(device)
-
-    def begin_run(self, device) -> None:
-        self._device = device
-        self._cur_path.set(1)
-        self._cur_idx.set(0)
-        self._finished.set(False)
 
     # ------------------------------------------------------------------
     def loop_iteration(self, device) -> None:
@@ -205,24 +151,10 @@ class MayflyRuntime:
         return None
 
     def _run_task(self, name: str) -> None:
+        task, txn, ctx = self._begin_attempt(name)
+        if not self._run_body(task, txn, ctx):
+            return
         device = self._device
-        task = self.app.task(name)
-        cost = self.power.cost_of(name)
-        device.trace.record(device.sim_clock.now(), "task_start", task=name,
-                            path=self._cur_path.get())
-        if cost.fixed_energy_j:
-            device.consume_energy(cost.fixed_energy_j, "app")
-        device.consume(cost.duration_s, cost.power_w, "app")
-        txn = Transaction(device.nvm, journal=self._journal)
-        ctx = TaskContext(name, device.nvm, txn, self.app.sensors, device.now,
-                          peripherals=self.peripherals)
-        if task.body is not None:
-            try:
-                task.body(ctx)
-            except PeripheralError as exc:
-                txn.rollback()
-                self._handle_peripheral_failure(name, exc)
-                return
         # Bookkeeping (end times, collection counts) and loop advancement
         # are planned first and staged into the task's transaction, so
         # the journaled commit is all-or-nothing across data *and*
@@ -246,8 +178,8 @@ class MayflyRuntime:
         for kind, detail in events:
             device.trace.record(device.sim_clock.now(), kind, **detail)
 
-    def _handle_peripheral_failure(self, name: str, exc: PeripheralError) -> None:
-        """Retry a peripheral-failed task; skip it when retries exhaust.
+    def _escalate(self, name: str, exc: PeripheralError) -> None:
+        """Skip the task when its retries are exhausted.
 
         Mayfly has no ``onFail`` vocabulary (that absence is the paper's
         P3), so the watchdog's only escalation is skipping the task with
@@ -255,60 +187,21 @@ class MayflyRuntime:
         counted toward collection rules.
         """
         device = self._device
-        policy = self._retry.policy
-        attempt = self._retry.record_failure(name)
-        if attempt >= policy.max_attempts:
-            self._retry.clear(name)
-            device.result.watchdog_trips += 1
-            device.trace.record(
-                device.sim_clock.now(), "watchdog_trip", task=name,
-                attempts=attempt, sensor=exc.sensor, fault=exc.fault,
-            )
-            self._mark_degraded(name)
-            # Skip: advance control state without counting the task.
-            counts = dict(self._counts.get())
-            updates, events = self._plan_advance(counts)
-            txn = Transaction(device.nvm, journal=self._journal)
-            txn.stage(self._counts.name, counts)
-            for cell_name, value in updates:
-                txn.stage(cell_name, value)
-            txn.commit(spend=self._spend_commit_step,
+        self._mark_degraded(name)
+        # Skip: advance control state without counting the task.
+        counts = dict(self._counts.get())
+        updates, events = self._plan_advance(counts)
+        txn = Transaction(device.nvm, journal=self._journal)
+        txn.stage(self._counts.name, counts)
+        for cell_name, value in updates:
+            txn.stage(cell_name, value)
+        txn.commit(spend=self._spend_commit_step,
                    on_step=self._label_commit_step)
-            device.trace.record(device.sim_clock.now(), "task_skip",
-                                task=name, path=self._cur_path.get(),
-                                source="watchdog")
-            for kind, detail in events:
-                device.trace.record(device.sim_clock.now(), kind, **detail)
-            return
-        device.result.task_retries += 1
-        device.trace.record(
-            device.sim_clock.now(), "task_retry", task=name,
-            attempt=attempt, sensor=exc.sensor, fault=exc.fault,
-        )
-        backoff = policy.backoff_s(name, attempt)
-        if backoff > 0:
-            device.consume(backoff, self.power.overhead_power_w, "runtime")
-        if policy.retry_energy_j:
-            device.consume_energy(policy.retry_energy_j, "runtime")
-
-    def _mark_degraded(self, name: str) -> None:
-        cell_name = channel_cell_name(f"degraded.{name}")
-        if cell_name not in self._device.nvm:
-            self._device.nvm.alloc(cell_name, initial=False, size_bytes=8)
-        self._device.nvm.cell(cell_name).set(True)
-
-    def _spend_commit_step(self) -> None:
-        """Pay one journal step; each step is a distinct crash point."""
-        self._device.consume(self.power.commit_step_s,
-                             self.power.overhead_power_w, "commit")
-
-    def _label_commit_step(self, label: str) -> None:
-        """Forward commit-step labels to an attached crash scheduler."""
-        scheduler = getattr(self._device, "scheduler", None)
-        if scheduler is not None:
-            annotate = getattr(scheduler, "annotate", None)
-            if annotate is not None:
-                annotate(label)
+        device.trace.record(device.sim_clock.now(), "task_skip",
+                            task=name, path=self._cur_path.get(),
+                            source="watchdog")
+        for kind, detail in events:
+            device.trace.record(device.sim_clock.now(), kind, **detail)
 
     def _plan_advance(
         self, counts: Dict[str, int]

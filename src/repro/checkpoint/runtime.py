@@ -25,7 +25,7 @@ from typing import Any, Dict
 
 from repro.checkpoint.program import CheckpointProgram
 from repro.core.recovery import RecoveryManager
-from repro.core.retry import RetryPolicy, RetrySupervisor
+from repro.core.taskrun import guard_mapping, retry_counters, retry_or_trip
 from repro.errors import PeripheralError, RuntimeConfigError
 
 
@@ -44,9 +44,8 @@ class CheckpointRuntime:
         self.peripherals = peripherals
         nvm = device.nvm
         prefix = f"ckpt.{program.name}"
-        self._retry = RetrySupervisor(nvm, retry_policy or RetryPolicy(),
-                                      cell_name=f"{prefix}.retry.attempts")
-        self._retry_cell = nvm.cell(self._retry.cell_name)
+        self._retry, self._retry_cell = retry_counters(
+            nvm, retry_policy, f"{prefix}.retry.attempts")
         # Double-buffered snapshot slots + the current-slot marker.
         self._slots = [
             nvm.alloc(f"{prefix}.slot0", None, 64),
@@ -72,11 +71,7 @@ class CheckpointRuntime:
                      and self._slot_valid(self._current_slot.get())),
             self._repair_slot,
         )
-        self.recovery.add_invariant(
-            "ckpt.retry.attempts is a mapping",
-            lambda: isinstance(self._retry_cell.get(), dict),
-            lambda: self._retry_cell.set({}),
-        )
+        guard_mapping(self.recovery, self._retry_cell, "ckpt.retry.attempts")
 
     # ------------------------------------------------------------------
     @property
@@ -197,12 +192,7 @@ class CheckpointRuntime:
             self._retry.clear(block.name)
         device.trace.record(device.sim_clock.now(), "task_end",
                             task=block.name, path=1)
-
-        if block.name in self.program.checkpoint_after:
-            self._checkpoint()
-        self._pc += 1
-        if self._pc >= len(self.program):
-            self._finished.set(True)
+        self._advance_past(block)
 
     def _handle_peripheral_failure(self, block, exc: PeripheralError) -> None:
         """Retry a peripheral-failed block; skip it when retries exhaust.
@@ -211,34 +201,21 @@ class CheckpointRuntime:
         (``degraded.<block>``), persisted by the next checkpoint.
         """
         device = self._device
-        policy = self._retry.policy
-        attempt = self._retry.record_failure(block.name)
-        if attempt >= policy.max_attempts:
-            self._retry.clear(block.name)
-            device.result.watchdog_trips += 1
-            device.trace.record(
-                device.sim_clock.now(), "watchdog_trip", task=block.name,
-                attempts=attempt, sensor=exc.sensor, fault=exc.fault,
-            )
-            self._state[f"degraded.{block.name}"] = True
-            device.trace.record(device.sim_clock.now(), "task_skip",
-                                task=block.name, path=1, source="watchdog")
-            if block.name in self.program.checkpoint_after:
-                self._checkpoint()
-            self._pc += 1
-            if self._pc >= len(self.program):
-                self._finished.set(True)
+        if not retry_or_trip(self._retry, device, block.name, exc,
+                             self.OVERHEAD_POWER_W):
             return
-        device.result.task_retries += 1
-        device.trace.record(
-            device.sim_clock.now(), "task_retry", task=block.name,
-            attempt=attempt, sensor=exc.sensor, fault=exc.fault,
-        )
-        backoff = policy.backoff_s(block.name, attempt)
-        if backoff > 0:
-            device.consume(backoff, self.OVERHEAD_POWER_W, "runtime")
-        if policy.retry_energy_j:
-            device.consume_energy(policy.retry_energy_j, "runtime")
+        self._state[f"degraded.{block.name}"] = True
+        device.trace.record(device.sim_clock.now(), "task_skip",
+                            task=block.name, path=1, source="watchdog")
+        self._advance_past(block)
+
+    def _advance_past(self, block) -> None:
+        """Checkpoint after ``block`` if the program asks, then move on."""
+        if block.name in self.program.checkpoint_after:
+            self._checkpoint()
+        self._pc += 1
+        if self._pc >= len(self.program):
+            self._finished.set(True)
 
     def _checkpoint(self) -> None:
         device = self._device

@@ -31,13 +31,12 @@ from repro.core.events import end_event, MonitorEvent
 from repro.core.monitor import ArtemisMonitor
 from repro.core.properties import EnergyAtLeast, PropertySet
 from repro.core.recovery import RecoveryManager
-from repro.core.retry import RetryPolicy, RetrySupervisor
+from repro.core.retry import RetryPolicy
+from repro.core.taskrun import PathRuntime, guard_mapping, retry_counters
 from repro.energy.power import PowerModel
 from repro.errors import PeripheralError, RuntimeConfigError
 from repro.nvm.journal import CommitJournal
-from repro.nvm.transaction import Transaction
 from repro.taskgraph.app import Application
-from repro.taskgraph.context import TaskContext, channel_cell_name
 
 _READY = "TASK_READY"
 _FINISHED = "TASK_FINISHED"
@@ -48,7 +47,7 @@ _FINISHED = "TASK_FINISHED"
 _EMPTY_DATA: dict = {}
 
 
-class ArtemisRuntime:
+class ArtemisRuntime(PathRuntime):
     """Power-failure-resilient executor with decoupled monitoring.
 
     Args:
@@ -99,15 +98,9 @@ class ArtemisRuntime:
                 raise RuntimeConfigError(
                     f"property on unknown task {prop.task!r}"
                 )
-        self.app = app
+        super().__init__(app, device, power_model, peripherals)
         self.props = props
-        self.power = power_model
-        # The application is immutable after construction, so the hot
-        # loop's task lookups can index a flat table instead of going
-        # through the checked ``app.path()`` accessor every time.
-        self._path_tasks = tuple(tuple(p.task_names) for p in app.paths)
         self.policy = policy
-        self._device = device
         nvm = device.nvm
         # A prebuilt monitor (e.g. a MonitorGroup of independently
         # deployed monitors) may be supplied; by default one is
@@ -122,11 +115,9 @@ class ArtemisRuntime:
         else:
             self.audit = None
 
-        self.peripherals = peripherals
         self.watchdog_fallback = watchdog_fallback
-        self._retry = RetrySupervisor(nvm, retry_policy or RetryPolicy(),
-                                      cell_name="rt.retry.attempts")
-        self._retry_cell = nvm.cell(self._retry.cell_name)
+        self._retry, self._retry_cell = retry_counters(
+            nvm, retry_policy, "rt.retry.attempts")
         if degradation is None:
             self._degradation: Optional[DegradationController] = None
         elif isinstance(degradation, DegradationController):
@@ -190,24 +181,6 @@ class ArtemisRuntime:
     # ------------------------------------------------------------------
     # Properties
     # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        return self._finished.get()
-
-    @property
-    def current_task_name(self) -> str:
-        number = self._cur_path.get()
-        if 1 <= number <= len(self._path_tasks):
-            tasks = self._path_tasks[number - 1]
-            idx = self._cur_idx.get()
-            if 0 <= idx < len(tasks):
-                return tasks[idx]
-        # Out-of-range control state (corruption caught before recovery
-        # repairs it): fall back to the checked accessor for its typed
-        # error instead of a bare IndexError.
-        path = self.app.path(number)
-        return path.task_names[self._cur_idx.get()]
-
     @property
     def current_path_number(self) -> int:
         return self._cur_path.get()
@@ -318,16 +291,8 @@ class ArtemisRuntime:
             lambda: 1 <= self._resume_path.get() <= len(self.app.paths) + 1,
             lambda: self._resume_path.set(1),
         )
-        rec.add_invariant(
-            "rt.emitted is a mapping",
-            lambda: isinstance(self._emitted.get(), dict),
-            lambda: self._emitted.set({}),
-        )
-        rec.add_invariant(
-            "rt.retry.attempts is a mapping",
-            lambda: isinstance(self._retry_cell.get(), dict),
-            lambda: self._retry_cell.set({}),
-        )
+        guard_mapping(rec, self._emitted)
+        guard_mapping(rec, self._retry_cell)
 
     def boot(self, device) -> None:
         """Called by the device on every power-up."""
@@ -417,27 +382,10 @@ class ArtemisRuntime:
         return False
 
     def _run_current_task(self) -> None:
-        task = self.app.task(self.current_task_name)
-        cost = self.power.cost_of(task.name)
+        task, txn, ctx = self._begin_attempt(self.current_task_name)
+        if not self._run_body(task, txn, ctx):
+            return
         device = self._device
-        device.trace.record(device.sim_clock.now(), "task_start", task=task.name,
-                            path=self._cur_path.get())
-        if cost.fixed_energy_j:
-            device.consume_energy(cost.fixed_energy_j, "app")
-        device.consume(cost.duration_s, cost.power_w, "app")
-        # The attempt survived; execute the body and commit atomically.
-        txn = Transaction(device.nvm, journal=self._journal)
-        ctx = TaskContext(task.name, device.nvm, txn, self.app.sensors,
-                          device.now, peripherals=self.peripherals)
-        if task.body is not None:
-            try:
-                task.body(ctx)
-            except PeripheralError as exc:
-                # Nothing committed: the staged writes are discarded, so
-                # a retried task can never half-commit.
-                txn.rollback()
-                self._handle_peripheral_failure(task.name, exc)
-                return
         # taskFinish (Figure 9, Lines 20-27): the finish stamp and status
         # flip ride in the same journaled commit as the channel writes,
         # so the journal seal is the single linearization point — a crash
@@ -455,44 +403,21 @@ class ArtemisRuntime:
         device.trace.record(device.sim_clock.now(), "task_end", task=task.name,
                             path=self._cur_path.get())
 
-    def _handle_peripheral_failure(self, task_name: str, exc: PeripheralError) -> None:
-        """Retry/backoff for a transient fault, watchdog past the budget.
-
-        Attempt counters live in NVM (written durably before any backoff
-        is paid), so a retry storm interleaved with brown-outs still
-        reaches the watchdog instead of livelocking across reboots.
-        """
-        device = self._device
-        attempt = self._retry.record_failure(task_name)
-        policy = self._retry.policy
-        if attempt >= policy.max_attempts:
-            self._retry.clear(task_name)
-            device.result.watchdog_trips += 1
-            device.trace.record(
-                device.sim_clock.now(), "watchdog_trip", task=task_name,
-                attempts=attempt, sensor=exc.sensor, fault=exc.fault,
-            )
-            if self.audit is not None:
-                self.audit.record_event(device.now(), "watchdog:livelock",
-                                        exc.sensor, task=task_name,
-                                        path=self._cur_path.get())
-            action = self._watchdog_action(task_name)
-            self._trace_action(action)
-            self._apply_start_action(action)
-            return
-        device.result.task_retries += 1
-        device.trace.record(
-            device.sim_clock.now(), "task_retry", task=task_name,
-            attempt=attempt, sensor=exc.sensor, fault=exc.fault,
-        )
+    def _on_retry(self) -> None:
         # A fresh attempt must re-announce StartTask, so maxTries-style
-        # properties see every retry.
+        # properties see every retry. Written before the backoff is
+        # paid, so the re-arm is durable at that crash point.
         self._start_checked.set(False)
-        backoff = policy.backoff_s(task_name, attempt)
-        if backoff > 0.0:
-            device.consume(backoff, self.power.overhead_power_w, "runtime")
-        if policy.retry_energy_j:
-            device.consume_energy(policy.retry_energy_j, "runtime")
+
+    def _escalate(self, task_name: str, exc: PeripheralError) -> None:
+        """Audit the livelock, then apply the watchdog's action."""
+        if self.audit is not None:
+            self.audit.record_event(self._device.now(), "watchdog:livelock",
+                                    exc.sensor, task=task_name,
+                                    path=self._cur_path.get())
+        action = self._watchdog_action(task_name)
+        self._trace_action(action)
+        self._apply_start_action(action)
 
     def _watchdog_action(self, task_name: str) -> Action:
         """Escalation when retries are exhausted: the most severe of the
@@ -507,14 +432,6 @@ class ArtemisRuntime:
             self._mark_degraded(task_name)
             action = Action(self.watchdog_fallback, source="watchdog")
         return action
-
-    def _mark_degraded(self, task_name: str) -> None:
-        """Durably flag the task's output as degraded (single-cell write)."""
-        cell_name = channel_cell_name(f"degraded.{task_name}")
-        nvm = self._device.nvm
-        if cell_name not in nvm:
-            nvm.alloc(cell_name, initial=False, size_bytes=8)
-        nvm.cell(cell_name).set(True)
 
     def _finish_current_task(self) -> None:
         """Send EndTask (with the persisted timestamp) and advance."""
@@ -544,19 +461,6 @@ class ArtemisRuntime:
 
     def _spend_monitor(self, seconds: float) -> None:
         self._device.consume(seconds, self.power.overhead_power_w, "monitor")
-
-    def _spend_commit_step(self) -> None:
-        """Pay for one journal step; each step is a visible crash point."""
-        self._device.consume(self.power.commit_step_s,
-                             self.power.overhead_power_w, "commit")
-
-    def _label_commit_step(self, label: str) -> None:
-        """Forward commit-step labels to an attached crash scheduler."""
-        scheduler = getattr(self._device, "scheduler", None)
-        if scheduler is not None:
-            annotate = getattr(scheduler, "annotate", None)
-            if annotate is not None:
-                annotate(label)
 
     def _trace_action(self, action: Action) -> None:
         if action.type is ActionType.NONE:
