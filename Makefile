@@ -21,7 +21,7 @@ test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q
 
 crashsweep:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_crash_sweep.py tests/test_soak_random_faults.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_crash_sweep.py tests/test_soak_random_faults.py tests/test_runtime_goldens.py -q
 
 # Bounded model checking of every workload x runtime scenario against
 # its continuous-power oracle, plus the mutation self-test proving the

@@ -10,7 +10,9 @@ no escape hatch equivalent to ARTEMIS' ``maxTries``/``maxAttempt``
 the expiration window (Figure 12).
 
 The implementation shares the device/NVM substrates with the ARTEMIS
-runtime so measured differences come only from the checking design.
+runtime, and every runtime step except its checks and its watchdog
+escalation (:mod:`repro.core.taskrun`), so measured differences come
+only from the checking design.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from repro.nvm.journal import CommitJournal
 from repro.nvm.memory import PersistentCell
 from repro.nvm.transaction import Transaction
 from repro.taskgraph.context import TaskContext, channel_cell_name
+from repro.taskgraph.task import Task
 
 
 def retry_counters(nvm, policy: Optional[RetryPolicy],
@@ -92,7 +93,7 @@ class PathRuntime:
     #: Runs after the ``task_retry`` record, before the backoff is paid.
     _on_retry: Optional[Callable[[], None]] = None
 
-    def __init__(self, app, device, power_model, peripherals=None):
+    def __init__(self, app, device, power_model, peripherals):
         self.app = app
         self.power = power_model
         self._device = device
@@ -158,7 +159,9 @@ class PathRuntime:
         self._cur_idx.set(0)
         self._finished.set(False)
 
-    def _begin_attempt(self, name: str) -> Tuple:
+    def _begin_attempt(
+        self, name: str
+    ) -> Tuple[Task, Transaction, TaskContext]:
         """Trace ``task_start``, pay the task's cost and open its
         transaction; returns ``(task, txn, ctx)``."""
         device = self._device
@@ -175,7 +178,8 @@ class PathRuntime:
                           device.now, peripherals=self.peripherals)
         return task, txn, ctx
 
-    def _run_body(self, task, txn: Transaction, ctx: TaskContext) -> bool:
+    def _run_body(self, task: Task, txn: Transaction,
+                  ctx: TaskContext) -> bool:
         """Run the task body; False if a peripheral fault ended the
         attempt (it is then retried, or escalated by the watchdog)."""
         if task.body is not None:
