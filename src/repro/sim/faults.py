@@ -6,11 +6,19 @@ claims needs *placed* ones. These devices subclass
 injection while otherwise running on continuous power, so a failure
 lands exactly where the test wants it and nowhere else.
 
-All injected failures participate in the normal protocol: the consume
-call dies *before* its work happens, the trace records ``power_failure``,
+All injected failures participate in the normal protocol: the payment
+dies *before* its work happens, the trace records ``power_failure``,
 and ``reboot()`` brings the device back instantly (no charging delay —
 the timing dimension is the energy model's job, not the fault
-injector's; combine with real environments when both matter).
+injector's; combine with real environments when both matter), marking
+the power cycle in an attached access log as :meth:`Device.reboot`
+does.
+
+A payment is one ``consume`` or one ``consume_energy`` call. An
+injector sees an instantaneous draw as ``(0.0, 0.0, category)``, the
+triple :meth:`Device.consume_energy` offers a scheduler, so injector
+indices and :class:`~repro.verify.schedule.CrashScheduleRunner`
+payment indices count the same calls.
 """
 
 from __future__ import annotations
@@ -38,22 +46,32 @@ class _InjectingDevice(Device):
     def reboot(self) -> None:
         self.result.reboots += 1
         self.clock.on_reboot()
+        if self.nvm.access_log is not None:
+            self.nvm.access_log.mark_reboot()
         self._alive = True
         self.trace.record(self.sim_clock.now(), "boot", injected=True)
 
-    # Subclasses decide whether a given consume dies.
+    # Subclasses decide whether a given payment dies.
     def _should_fail(self, duration_s: float, power_w: float,
                      category: str) -> bool:
         raise NotImplementedError
 
-    def consume(self, duration_s: float, power_w: float, category: str) -> None:
+    def _before_payment(self, duration_s: float, power_w: float,
+                        category: str) -> None:
         if self._should_fail(duration_s, power_w, category):
             self._die(category)
+
+    def consume(self, duration_s: float, power_w: float, category: str) -> None:
+        self._before_payment(duration_s, power_w, category)
         super().consume(duration_s, power_w, category)
+
+    def consume_energy(self, energy_j: float, category: str) -> None:
+        self._before_payment(0.0, 0.0, category)
+        super().consume_energy(energy_j, category)
 
 
 class FailAtIndices(_InjectingDevice):
-    """Dies at the given 1-based global consume-call indices."""
+    """Dies at the given 1-based global payment indices."""
 
     def __init__(self, indices: Iterable[int]):
         super().__init__()
@@ -66,7 +84,7 @@ class FailAtIndices(_InjectingDevice):
 
 
 class FailAtCategoryIndices(_InjectingDevice):
-    """Dies at 1-based per-category consume indices, e.g.
+    """Dies at 1-based per-category payment indices, e.g.
     ``{"monitor": {3}}`` kills the third monitor-time payment."""
 
     def __init__(self, fail_at: Dict[str, Set[int]]):
@@ -81,7 +99,7 @@ class FailAtCategoryIndices(_InjectingDevice):
 
 
 class FailRandomly(_InjectingDevice):
-    """Each consume call dies with probability ``p`` (seeded)."""
+    """Each payment dies with probability ``p`` (seeded)."""
 
     def __init__(self, p: float, seed: int = 0, max_failures: Optional[int] = None):
         super().__init__()
@@ -125,18 +143,18 @@ class FailDuringCommit(_InjectingDevice):
 
 
 class BitFlipDevice(_InjectingDevice):
-    """Silently corrupts NVM cells at given 1-based consume indices.
+    """Silently corrupts NVM cells at given 1-based payment indices.
 
-    ``flips`` maps a consume-call index to the cell name (or names) to
+    ``flips`` maps a payment index to the cell name (or names) to
     corrupt via :meth:`~repro.nvm.memory.NonVolatileMemory.corrupt` just
     before that call runs: reads keep succeeding with plausible garbage
     and only per-cell checksums can tell. The injection is recorded as a
     ``bit_flip`` trace event for test diagnostics — recovery code never
     looks at the trace. ``crash_at`` optionally adds a brown-out at a
-    consume index so the next boot's recovery pass gets a chance to
-    detect the damage (corruption scheduled for the crashing call lands
-    before the device dies). Cells must already be allocated when their
-    flip fires.
+    payment index so the next boot's recovery pass gets a chance to
+    detect the damage (corruption scheduled for the crashing payment
+    lands before the device dies). Cells must already be allocated when
+    their flip fires.
     """
 
     def __init__(
@@ -154,13 +172,14 @@ class BitFlipDevice(_InjectingDevice):
         self.bit = bit
         self.calls = 0
 
-    def consume(self, duration_s: float, power_w: float, category: str) -> None:
+    def _before_payment(self, duration_s: float, power_w: float,
+                        category: str) -> None:
         self.calls += 1
         for cell in self.flips.get(self.calls, ()):
             self.nvm.corrupt(cell, bit=self.bit)
             self.trace.record(self.sim_clock.now(), "bit_flip",
                               cell=cell, injected=True)
-        super().consume(duration_s, power_w, category)
+        super()._before_payment(duration_s, power_w, category)
 
     def _should_fail(self, duration_s, power_w, category) -> bool:
         return self.crash_at is not None and self.calls == self.crash_at
