@@ -563,6 +563,9 @@ class ControlPlane:
         start = 0
         compact_rows: List[Tuple[Dict[str, Any], int]] = []
         any_compact = False
+        # Lockstep representative rows of this rollout only: every wave
+        # of it runs the same cohorts, but a later rollout runs its own.
+        known_rows: Dict[Tuple[str, Any], Dict[str, Any]] = {}
         for index, end in enumerate(boundaries):
             ids = list(range(start, end))
             start = end
@@ -573,7 +576,7 @@ class ControlPlane:
                        version=version)
             if plan.lockstep:
                 telemetry, control, summary, pairs, rows = \
-                    self._lockstep_wave(ids, wire, version)
+                    self._lockstep_wave(ids, wire, version, known_rows)
                 compact_rows.extend(rows)
                 any_compact = any_compact or not telemetry
                 queue_stats: Dict[str, int] = {}
@@ -619,10 +622,13 @@ class ControlPlane:
         return report
 
     def _lockstep_wave(self, ids: List[int], wire: Optional[bytes],
-                       version: int):
+                       version: int,
+                       known_rows: Dict[Tuple[str, Any], Dict[str, Any]]):
         """One wave (treatment + paired control) through the lockstep
         cohort core, whose representatives run on the plane's ``jobs``
-        pool workers.
+        pool workers. ``known_rows`` holds the rollout's representative
+        rows so far: a cohort an earlier wave ran runs no representative
+        here (:meth:`BatchFleetCore.run`).
 
         Waves up to ``plan.expand_limit`` devices expand into per-device
         telemetry, aggregated and paired exactly as the streamed path
@@ -638,9 +644,9 @@ class ControlPlane:
         # Both arms share the plan and backend, hence the partition.
         groups = treated_core.partition(ids)
         treated = treated_core.run(ids, cache=self.cache, jobs=self.jobs,
-                                   groups=groups)
+                                   groups=groups, known_rows=known_rows)
         control = control_core.run(ids, cache=self.cache, jobs=self.jobs,
-                                   groups=groups)
+                                   groups=groups, known_rows=known_rows)
         rows = [(dict(row), count) for row, count in treated.rows()]
         if len(ids) <= plan.expand_limit:
             telemetry = treated.expand()

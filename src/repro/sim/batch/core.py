@@ -9,11 +9,15 @@ same simulation, and every output of a wave can be read off one scalar
 device per cohort.
 
 Per wave, :class:`BatchFleetCore` partitions the device ids into
-cohorts (:func:`~repro.sim.batch.layout.group_lanes`) and runs **one
-scalar representative** per cohort through the unmodified
+cohorts (:func:`~repro.sim.batch.layout.group_lanes`). Per rollout, it
+runs **one scalar representative** per cohort through the unmodified
 ``Device``/``ArtemisRuntime``/``UpdatableRuntime`` stack —
 byte-equivalence with the scalar path holds *by construction* for every
-lane of the cohort. It keeps three things of each in-process
+lane of the cohort. A cohort's row does not depend on which member
+represents it, so a later wave of the rollout restamps the row an
+earlier wave computed with its own representative's id and runs
+nothing (``known_rows``); the map lives for one rollout, not across
+rollouts. The core keeps three things of each in-process
 representative:
 
 * its telemetry row, which stands for every lane of the cohort
@@ -31,8 +35,8 @@ The representatives are independent deterministic simulations, so with
 :class:`~repro.sim.pool.PersistentPool` as one
 :class:`~repro.fleet.server.WaveTask` run — the unit of work of the
 streamed wave executor. A pooled cohort keeps only its row, as a cache
-hit does; a cohort with divergent lanes always runs in-process, since
-its lanes need the ledger.
+hit and a reused cohort do; a cohort with divergent lanes always runs
+in-process, since its lanes need the ledger.
 
 **Divergence handling**: a lane with per-device perturbation (an
 injected crash schedule — the test battery's fault seeds) drops out of
@@ -132,8 +136,8 @@ class CohortRun:
     the numpy backend); ``diverged`` lists the members that left
     lockstep and have their own :class:`LaneResult`. ``device``,
     ``runtime``, ``ledger`` and ``nvm_image`` are set only for an
-    in-process representative; a cached or pooled cohort keeps only its
-    row.
+    in-process representative; a reused, cached or pooled cohort keeps
+    only its row.
     """
 
     def __init__(self, key, device_ids: Sequence[int], row: Dict[str, Any],
@@ -309,14 +313,17 @@ class BatchFleetCore:
     # ------------------------------------------------------------------
     def run(self, device_ids: Sequence[int], cache: Any = None,
             perturb: Optional[Dict[int, Sequence[int]]] = None,
-            jobs: int = 1, groups: Optional[Sequence[Tuple[Any, Any]]] = None
+            jobs: int = 1, groups: Optional[Sequence[Tuple[Any, Any]]] = None,
+            known_rows: Optional[Dict[Tuple[str, Any], Dict[str, Any]]] = None
             ) -> BatchResult:
         """Simulate ``device_ids`` as a lockstep batch: one scalar
         representative per cohort, whose row stands for every lane of
         the cohort.
 
         ``result.cohorts`` keeps partition (``repr(key)``) order. A
-        cache hit keeps its cached row. A cohort with divergent lanes
+        cohort already run earlier in the rollout (``known_rows``) takes
+        that row, restamped with its own representative's id; otherwise
+        a cache hit keeps its cached row. A cohort with divergent lanes
         runs its representative in-process, for the ledger its lanes
         rejoin against. The other representatives are pending and run
         through :meth:`_run_pending`; their rows are the same at any
@@ -324,7 +331,8 @@ class BatchFleetCore:
 
         Args:
             cache: optional result cache (``True``/path/instance) for
-                cohort-representative rows.
+                cohort-representative rows. Every cohort not served from
+                it is stored under its own representative's id.
             perturb: ``{device_id: crash schedule}`` — those lanes
                 diverge from the batch into the scalar path (driven by
                 :class:`~repro.verify.schedule.CrashScheduleRunner`)
@@ -337,6 +345,13 @@ class BatchFleetCore:
                 plan and backend); omitted, the wave is partitioned
                 here. Read only: the members become the cohorts'
                 ``device_ids``.
+            known_rows: the representative rows of one rollout, keyed
+                by ``(repr(core), cohort key)``; this wave reads it and
+                adds its own rows. A cohort's row depends only on the
+                core and the cohort (not on which member represents it),
+                so a later wave of the rollout runs no representative
+                for a cohort an earlier wave ran. One map serves one
+                rollout: rows are not kept across rollouts.
         """
         result = BatchResult(device_ids)
         if not result.device_ids:
@@ -353,19 +368,26 @@ class BatchFleetCore:
 
         cache = _normalize_cache(cache)
         fingerprint = self.cache_fingerprint() if cache is not None else None
+        core_id = repr(self)
+        known = known_rows if known_rows is not None else {}
         pending: List[CohortRun] = []
         if groups is None:
             groups = self.partition(result.device_ids)
         for key, members in groups:
             divergent = diverging.get(key, [])
-            cached_row = None
-            if cache is not None and not divergent:
-                cached_row = cache.get(cache.key_for(
-                    fingerprint, {"device_id": int(members[0])}))
-            if cached_row is not None:
-                result.cohorts.append(CohortRun(key, members, dict(cached_row),
-                                                from_cache=True))
-                continue
+            if not divergent:
+                rep = {"device_id": int(members[0])}
+                row = known.get((core_id, key))
+                if row is not None:
+                    result.cohorts.append(CohortRun(key, members,
+                                                    dict(row, **rep)))
+                    continue
+                if cache is not None:
+                    row = cache.get(cache.key_for(fingerprint, rep))
+                if row is not None:
+                    result.cohorts.append(CohortRun(key, members, dict(row),
+                                                    from_cache=True))
+                    continue
             cohort = CohortRun(key, members, {})
             result.cohorts.append(cohort)
             if not divergent:
@@ -377,11 +399,11 @@ class BatchFleetCore:
                     device_id, perturb[device_id], cohort)
                 cohort.diverged.append(device_id)
         self._run_pending(pending, jobs)
-        if cache is not None:
-            for cohort in result.cohorts:
-                if not cohort.from_cache:
-                    cache.put(cache.key_for(fingerprint, {
-                        "device_id": int(cohort.device_ids[0])}), cohort.row)
+        for cohort in result.cohorts:
+            known.setdefault((core_id, cohort.key), cohort.row)
+            if cache is not None and not cohort.from_cache:
+                cache.put(cache.key_for(fingerprint, {
+                    "device_id": int(cohort.device_ids[0])}), cohort.row)
         return result
 
     # ------------------------------------------------------------------
