@@ -7,9 +7,11 @@ the deliberately regressing spec to show the canary wave halting at
 fleet scale. The fleet uses ``per_cohort`` seeding — devices within an
 energy class are byte-identical — which is exactly the homogeneous
 shape :class:`repro.sim.batch.BatchFleetCore` amortizes: one cohort
-partition per wave, one scalar representative per cohort whose row
-stands for every device of the cohort, and a weighted per-cohort
-telemetry rollup. Nothing is simulated or stored per device.
+partition per wave, one scalar representative per cohort per rollout
+(run in the canary; the 10% and 100% waves reuse its row, since a
+cohort's row does not depend on which member represents it; the next
+rollout runs its own), and a weighted per-cohort telemetry rollup.
+Nothing is simulated or stored per device.
 
 Run:  python examples/megafleet_demo.py [n_devices]
 """
