@@ -6,12 +6,13 @@ three waves (1% canary, 10%, everyone), then re-runs the rollout with
 the deliberately regressing spec to show the canary wave halting at
 fleet scale. The fleet uses ``per_cohort`` seeding — devices within an
 energy class are byte-identical — which is exactly the homogeneous
-shape :class:`repro.sim.batch.BatchFleetCore` amortizes: one cohort
-partition per wave, one scalar representative per cohort per rollout
-(run in the canary; the 10% and 100% waves reuse its row, since a
-cohort's row does not depend on which member represents it; the next
-rollout runs its own), and a weighted per-cohort telemetry rollup.
-Nothing is simulated or stored per device.
+shape :class:`repro.sim.batch.BatchFleetCore` amortizes: each wave is
+a range of device ids and each cohort a stride of it, one scalar
+representative runs per cohort per rollout (in the canary; the 10% and
+100% waves reuse its row, since a cohort's row does not depend on which
+member represents it; the next rollout runs its own), and a weighted
+per-cohort telemetry rollup reports the big waves. Nothing is
+simulated, listed or stored per device beyond the expanded canary.
 
 Run:  python examples/megafleet_demo.py [n_devices]
 """

@@ -359,21 +359,19 @@ class TelemetryGate:
 # ---------------------------------------------------------------------------
 
 
+#: In-process (no-pool) retries per device on injected/transient
+#: failures, beyond the first attempt.
+INLINE_RETRIES = 2
+
+
 @dataclass(frozen=True)
 class ControlConfig:
-    """Service knobs of the control plane (the rollout *policy* lives
-    in :class:`~repro.fleet.server.RolloutPlan`)."""
+    """Service knobs of the control plane: the telemetry queue's
+    capacity and overload policy (the rollout *policy* lives in
+    :class:`~repro.fleet.server.RolloutPlan`)."""
 
     queue_capacity: int = 256
     policy: str = "block"
-    n_shards: int = 8
-    window_s: float = 600.0
-    relative_error: float = 0.01
-    #: In-process (no-pool) retries per device on injected/transient
-    #: failures, beyond the first attempt.
-    retries: int = 2
-    #: Pool chunk size override (None = pool default).
-    chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.policy not in BACKPRESSURE_POLICIES:
@@ -382,8 +380,6 @@ class ControlConfig:
                 f"expected one of {BACKPRESSURE_POLICIES}")
         if self.queue_capacity < 1:
             raise FleetError("queue_capacity must be >= 1")
-        if self.retries < 0:
-            raise FleetError("retries must be >= 0")
 
 
 @dataclass
@@ -520,9 +516,7 @@ class ControlPlane:
         self.on_event = on_event
         self.task_factory = task_factory or WaveTask
         self.gate = TelemetryGate(plan)
-        self.registry = ShardedRegistry(
-            self.config.n_shards, self.config.window_s,
-            self.config.relative_error)
+        self.registry = ShardedRegistry()
         self.ledger: List[WaveLedgerEntry] = []
 
     # -- events ------------------------------------------------------------
@@ -567,7 +561,7 @@ class ControlPlane:
         # of it runs the same cohorts, but a later rollout runs its own.
         known_rows: Dict[Tuple[str, Any], Dict[str, Any]] = {}
         for index, end in enumerate(boundaries):
-            ids = list(range(start, end))
+            ids = range(start, end)
             start = end
             if not ids:
                 continue
@@ -621,7 +615,7 @@ class ControlPlane:
             report.summary = aggregate(report.all_telemetry())
         return report
 
-    def _lockstep_wave(self, ids: List[int], wire: Optional[bytes],
+    def _lockstep_wave(self, ids: range, wire: Optional[bytes],
                        version: int,
                        known_rows: Dict[Tuple[str, Any], Dict[str, Any]]):
         """One wave (treatment + paired control) through the lockstep
@@ -641,7 +635,7 @@ class ControlPlane:
         plan = self.plan
         treated_core = BatchFleetCore(self.server, wire, version, plan)
         control_core = BatchFleetCore(self.server, None, version, plan)
-        # Both arms share the plan and backend, hence the partition.
+        # Both arms share the plan, hence the partition.
         groups = treated_core.partition(ids)
         treated = treated_core.run(ids, cache=self.cache, jobs=self.jobs,
                                    groups=groups, known_rows=known_rows)
@@ -660,7 +654,7 @@ class ControlPlane:
                  for c in treated.cohorts if c.key in control_rows]
         return [], [], weighted_summary(rows), pairs, rows
 
-    async def _streamed_wave(self, index: int, ids: List[int],
+    async def _streamed_wave(self, index: int, ids: range,
                              wire: Optional[bytes], version: int):
         """One wave, streamed: treatment + paired control as two
         producers feeding the bounded queue into the registry; the gate
@@ -723,7 +717,7 @@ class ControlPlane:
         return (telemetry, control, summary,
                 _device_pairs(telemetry, control), queue.stats(), windows)
 
-    async def _produce_arm(self, arm: str, task: WaveTask, ids: List[int],
+    async def _produce_arm(self, arm: str, task: WaveTask, ids: range,
                            queue: TelemetryQueue) -> None:
         """Execute one arm's devices, feeding the queue as rows land."""
         loop = asyncio.get_running_loop()
@@ -787,9 +781,8 @@ class ControlPlane:
             asyncio.run_coroutine_threadsafe(deliver(row), loop).result()
 
         results = await loop.run_in_executor(
-            None, lambda: pool.run(task, pending,
-                                   chunk_size=self.config.chunk_size,
-                                   on_result=on_result, return_errors=True))
+            None, lambda: pool.run(task, pending, on_result=on_result,
+                                   return_errors=True))
         failed: List[int] = []
         for device_id, result in zip(pending, results):
             if isinstance(result, PoolItemError):
@@ -800,7 +793,7 @@ class ControlPlane:
 
     async def _run_inline(self, task: WaveTask, device_id: int,
                           loop) -> Dict[str, Any]:
-        attempts = self.config.retries + 1
+        attempts = INLINE_RETRIES + 1
         for attempt in range(attempts):
             try:
                 return await loop.run_in_executor(None, task, device_id)
@@ -872,7 +865,7 @@ class ControlPlane:
         async def produce() -> None:
             try:
                 await self._produce_arm("treatment", task,
-                                        list(range(n_devices)), queue)
+                                        range(n_devices), queue)
             finally:
                 await queue.put(None)
 

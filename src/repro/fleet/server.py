@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.retry import RetryPolicy
 from repro.errors import FleetError
@@ -55,6 +55,12 @@ from repro.workloads.health import (
 
 #: The fleet's installed baseline: the benchmark health spec.
 FLEET_SPEC_V1 = BENCHMARK_SPEC
+
+#: Energy classes, assigned round-robin by device id
+#: (:meth:`FleetServer.make_device`): device ``d`` is of class
+#: ``d % ENERGY_CLASSES``. Under ``per_cohort`` seeding a device's
+#: build reads its id only through this class.
+ENERGY_CLASSES = 4
 
 #: A benign update: tighter averaging window (changed machine) plus a
 #: generous new watchdog on bodyTemp (added machine that never fires).
@@ -193,7 +199,7 @@ class WaveReport:
     """
 
     index: int
-    device_ids: List[int]
+    device_ids: Sequence[int]
     telemetry: List[DeviceTelemetry]
     control: List[DeviceTelemetry]
     summary: FleetSummary
@@ -300,7 +306,7 @@ class FleetServer:
         ``per_cohort`` it is seeded by energy class, so every RF device
         is byte-identical — the lockstep core's homogeneous-fleet
         assumption."""
-        kind = device_id % 4
+        kind = device_id % ENERGY_CLASSES
         if kind == 0:
             return make_continuous_device()
         if kind == 1:
@@ -317,8 +323,7 @@ class FleetServer:
         ``wire=None`` builds the paired control: the identical device
         (same energy trace, same provisioned baseline) with no update
         offered."""
-        seed_mode = getattr(plan, "seed_mode", "per_device")
-        device = self.make_device(device_id, seed_mode)
+        device = self.make_device(device_id, plan.seed_mode)
         app = build_health_app()
         runtime = build_artemis(device, app=app, spec=self.base_spec,
                                 power=health_power_model())
@@ -329,8 +334,8 @@ class FleetServer:
         installer.install_initial(self.base_bundle)
         loss = None
         if plan.loss_rate > 0.0:
-            loss_base = (device_id % 4 if seed_mode == "per_cohort"
-                         else device_id)
+            loss_base = (device_id % ENERGY_CLASSES
+                         if plan.seed_mode == "per_cohort" else device_id)
             loss = ChunkLoss(rate=plan.loss_rate,
                              seed=loss_base * 1_000_003 + plan.seed)
         transport = OtaTransport(

@@ -8,8 +8,8 @@ durable state and its environment, so every lane of a cohort runs the
 same simulation, and every output of a wave can be read off one scalar
 device per cohort.
 
-Per wave, :class:`BatchFleetCore` partitions the device ids into
-cohorts (:func:`~repro.sim.batch.layout.group_lanes`). Per rollout, it
+Per wave, :class:`BatchFleetCore` partitions the wave's id range into
+cohorts by arithmetic (:meth:`BatchFleetCore.partition`). Per rollout, it
 runs **one scalar representative** per cohort through the unmodified
 ``Device``/``ArtemisRuntime``/``UpdatableRuntime`` stack —
 byte-equivalence with the scalar path holds *by construction* for every
@@ -28,7 +28,7 @@ representative:
 * its final NVM image, shared across the lanes as one
   :class:`~repro.sim.batch.layout.SoAImage`.
 
-Beyond the partition, the core does no work per lane.
+Beyond :meth:`BatchResult.expand`, the core does no work per lane.
 
 The representatives are independent deterministic simulations, so with
 ``jobs > 1`` the core runs them on the shared
@@ -63,13 +63,14 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import reprlib
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FleetError
-from repro.fleet.server import WaveTask
+from repro.fleet.server import ENERGY_CLASSES, WaveTask
 from repro.fleet.telemetry import DeviceTelemetry, FleetSummary, summarize
-from repro.sim.batch.layout import SoAImage, group_lanes, resolve_backend
+from repro.sim.batch.layout import SoAImage
 from repro.sim.pool import (
     PoolItemError,
     _fork_available,
@@ -132,15 +133,15 @@ class _BoundaryLedger:
 class CohortRun:
     """Everything one cohort's representative run produced.
 
-    ``device_ids`` are the members in ascending order (an int64 array on
-    the numpy backend); ``diverged`` lists the members that left
-    lockstep and have their own :class:`LaneResult`. ``device``,
+    ``device_ids`` are the members, a ``range`` in ascending order (see
+    :meth:`BatchFleetCore.partition`); ``diverged`` lists the members
+    that left lockstep and have their own :class:`LaneResult`. ``device``,
     ``runtime``, ``ledger`` and ``nvm_image`` are set only for an
     in-process representative; a reused, cached or pooled cohort keeps
     only its row.
     """
 
-    def __init__(self, key, device_ids: Sequence[int], row: Dict[str, Any],
+    def __init__(self, key, device_ids: range, row: Dict[str, Any],
                  from_cache: bool = False):
         self.key = key
         self.device_ids = device_ids
@@ -177,8 +178,8 @@ class BatchResult:
     the scalar path.
     """
 
-    def __init__(self, device_ids: Sequence[int]):
-        self.device_ids = list(device_ids)
+    def __init__(self, device_ids: range):
+        self.device_ids = device_ids
         self.cohorts: List[CohortRun] = []
         self.lanes: Dict[int, LaneResult] = {}
         #: Always 0: no FSM kernel runs on this path. Its only reader is
@@ -247,7 +248,8 @@ def weighted_summary(rows: Sequence[Tuple[Dict[str, Any], int]]) -> FleetSummary
 
 
 class BatchFleetCore:
-    """Cohort-partitioned lockstep execution of one fleet wave.
+    """Cohort-partitioned lockstep execution of one fleet wave, a
+    ``range`` of device ids.
 
     Args:
         server: the :class:`~repro.fleet.server.FleetServer` whose
@@ -256,19 +258,15 @@ class BatchFleetCore:
         version: fleet version being shipped.
         plan: the rollout plan (its ``seed_mode`` decides cohorting:
             ``per_cohort`` collapses each energy class into one cohort,
-            ``per_device`` degenerates to singleton cohorts — correct,
-            but with no speedup).
-        backend: how :func:`group_lanes` partitions a wave
-            (``numpy``/``python``/``auto``).
+            a stride of the wave's range; ``per_device`` degenerates to
+            singleton cohorts — correct, but with no speedup).
     """
 
-    def __init__(self, server, wire: Optional[bytes], version: int, plan,
-                 backend: str = "auto"):
+    def __init__(self, server, wire: Optional[bytes], version: int, plan):
         self.server = server
         self.wire = wire
         self.version = version
         self.plan = plan
-        self.backend = resolve_backend(backend)
 
     def __repr__(self) -> str:
         # The cohort-row cache key hashes this repr: everything that
@@ -277,25 +275,38 @@ class BatchFleetCore:
         wire_tag = (hashlib.sha256(self.wire).hexdigest()[:16]
                     if self.wire is not None else "control")
         return (f"BatchFleetCore(version={self.version}, wire={wire_tag}, "
-                f"plan={self.plan!r}, backend={self.backend}, "
+                f"plan={self.plan!r}, "
                 f"base={hashlib.sha256(self.server.base_spec.encode()).hexdigest()[:16]})")
 
     # ------------------------------------------------------------------
-    def cohort_key(self, device_id):
-        """The cohort of ``device_id``: its energy class under
-        ``per_cohort`` seeding, the device itself otherwise. Elementwise
-        on an int64 id array, which is how :func:`group_lanes`
-        partitions a wave on the numpy backend."""
-        if getattr(self.plan, "seed_mode", "per_device") == "per_cohort":
-            return device_id % 4
+    def cohort_key(self, device_id: int) -> int:
+        """The cohort of ``device_id``: its energy class
+        (``device_id % ENERGY_CLASSES``) under ``per_cohort`` seeding,
+        the device itself otherwise."""
+        if self.plan.seed_mode == "per_cohort":
+            return device_id % ENERGY_CLASSES
         return device_id
 
-    def partition(self, device_ids: Sequence[int]) -> List[Tuple[Any, Any]]:
-        """``(key, members)`` per cohort of ``device_ids``, in
-        ``repr(key)`` order (:func:`group_lanes` by :meth:`cohort_key`
-        on this core's backend). Cores of one plan and backend partition
-        alike, so a wave's treated and control cores can share one."""
-        return group_lanes(device_ids, self.cohort_key, self.backend)
+    def partition(self, device_ids: range) -> List[Tuple[int, range]]:
+        """``(key, members)`` per cohort of the wave ``device_ids``, a
+        ``range`` with step 1, in ``repr(key)`` order (which fixes the
+        summation order of compact rollups). Under ``per_cohort`` a
+        device's build reads its id only as its energy class, so each
+        class's members are the stride
+        ``device_ids[offset::ENERGY_CLASSES]``; under ``per_device``
+        each id is a cohort of one. Cores of one plan partition alike,
+        so a wave's treated and control cores can share one."""
+        if not isinstance(device_ids, range) or device_ids.step != 1:
+            raise FleetError("a wave's device ids must be a range with "
+                             f"step 1, got {reprlib.repr(device_ids)}")
+        if self.plan.seed_mode == "per_cohort":
+            groups = [(self.cohort_key(device_ids.start + offset),
+                       device_ids[offset::ENERGY_CLASSES])
+                      for offset in range(min(ENERGY_CLASSES,
+                                              len(device_ids)))]
+        else:
+            groups = [(d, range(d, d + 1)) for d in device_ids]
+        return sorted(groups, key=lambda group: repr(group[0]))
 
     def _build(self, device_id: int):
         return self.server.build_device(device_id, self.wire, self.version,
@@ -305,15 +316,16 @@ class BatchFleetCore:
         """Result-cache fingerprint of this core's cohort rows: the
         shared header plus ``repr(self)``, which names everything that
         shapes a representative run (plan with its run budget, wire,
-        version, backend and base spec)."""
+        version and base spec)."""
         h = fingerprint_hasher()
         h.update(repr(self).encode())
         return h.hexdigest()
 
     # ------------------------------------------------------------------
-    def run(self, device_ids: Sequence[int], cache: Any = None,
+    def run(self, device_ids: range, cache: Any = None,
             perturb: Optional[Dict[int, Sequence[int]]] = None,
-            jobs: int = 1, groups: Optional[Sequence[Tuple[Any, Any]]] = None,
+            jobs: int = 1,
+            groups: Optional[Sequence[Tuple[int, range]]] = None,
             known_rows: Optional[Dict[Tuple[str, Any], Dict[str, Any]]] = None
             ) -> BatchResult:
         """Simulate ``device_ids`` as a lockstep batch: one scalar
@@ -321,13 +333,13 @@ class BatchFleetCore:
         the cohort.
 
         ``result.cohorts`` keeps partition (``repr(key)``) order. A
-        cohort already run earlier in the rollout (``known_rows``) takes
-        that row, restamped with its own representative's id; otherwise
-        a cache hit keeps its cached row. A cohort with divergent lanes
-        runs its representative in-process, for the ledger its lanes
-        rejoin against. The other representatives are pending and run
-        through :meth:`_run_pending`; their rows are the same at any
-        ``jobs``.
+        cache hit keeps its cached row; otherwise a cohort already run
+        earlier in the rollout (``known_rows``) takes that row,
+        restamped with its own representative's id. A cohort with
+        divergent lanes runs its representative in-process, for the
+        ledger its lanes rejoin against. The other representatives are
+        pending and run through :meth:`_run_pending`; their rows are the
+        same at any ``jobs``.
 
         Args:
             cache: optional result cache (``True``/path/instance) for
@@ -342,9 +354,7 @@ class BatchFleetCore:
                 (1 = in-process).
             groups: ``device_ids`` already partitioned by
                 :meth:`partition` (of this core or of one with the same
-                plan and backend); omitted, the wave is partitioned
-                here. Read only: the members become the cohorts'
-                ``device_ids``.
+                plan); omitted, the wave is partitioned here.
             known_rows: the representative rows of one rollout, keyed
                 by ``(repr(core), cohort key)``; this wave reads it and
                 adds its own rows. A cohort's row depends only on the
@@ -353,15 +363,13 @@ class BatchFleetCore:
                 for a cohort an earlier wave ran. One map serves one
                 rollout: rows are not kept across rollouts.
         """
-        result = BatchResult(device_ids)
-        if not result.device_ids:
+        if not device_ids:
             raise FleetError("batched wave needs at least one device")
+        result = BatchResult(device_ids)
         perturb = dict(perturb or {})
-        if perturb:
-            wave = set(result.device_ids)
-            unknown = sorted(d for d in perturb if d not in wave)
-            if unknown:
-                raise FleetError(f"perturbed devices not in wave: {unknown}")
+        unknown = sorted(d for d in perturb if d not in device_ids)
+        if unknown:
+            raise FleetError(f"perturbed devices not in wave: {unknown}")
         diverging: Dict[Any, List[int]] = {}
         for device_id in sorted(perturb):
             diverging.setdefault(self.cohort_key(device_id), []).append(device_id)
@@ -372,21 +380,21 @@ class BatchFleetCore:
         known = known_rows if known_rows is not None else {}
         pending: List[CohortRun] = []
         if groups is None:
-            groups = self.partition(result.device_ids)
+            groups = self.partition(device_ids)
         for key, members in groups:
             divergent = diverging.get(key, [])
             if not divergent:
-                rep = {"device_id": int(members[0])}
+                rep = {"device_id": members[0]}
+                row = (cache.get(cache.key_for(fingerprint, rep))
+                       if cache is not None else None)
+                if row is not None:
+                    result.cohorts.append(CohortRun(key, members, dict(row),
+                                                    from_cache=True))
+                    continue
                 row = known.get((core_id, key))
                 if row is not None:
                     result.cohorts.append(CohortRun(key, members,
                                                     dict(row, **rep)))
-                    continue
-                if cache is not None:
-                    row = cache.get(cache.key_for(fingerprint, rep))
-                if row is not None:
-                    result.cohorts.append(CohortRun(key, members, dict(row),
-                                                    from_cache=True))
                     continue
             cohort = CohortRun(key, members, {})
             result.cohorts.append(cohort)
@@ -403,7 +411,7 @@ class BatchFleetCore:
             known.setdefault((core_id, cohort.key), cohort.row)
             if cache is not None and not cohort.from_cache:
                 cache.put(cache.key_for(fingerprint, {
-                    "device_id": int(cohort.device_ids[0])}), cohort.row)
+                    "device_id": cohort.device_ids[0]}), cohort.row)
         return result
 
     # ------------------------------------------------------------------
@@ -420,7 +428,7 @@ class BatchFleetCore:
             return
         task = WaveTask(self.server.base_spec, self.server.base_version,
                         self.wire, self.version, self.plan)
-        rep_ids = [int(cohort.device_ids[0]) for cohort in cohorts]
+        rep_ids = [cohort.device_ids[0] for cohort in cohorts]
         rows = get_pool(jobs).run(task, rep_ids, return_errors=True)
         for cohort, rep_id, row in zip(cohorts, rep_ids, rows):
             cohort.row = task(rep_id) if isinstance(row, PoolItemError) else row
@@ -428,7 +436,7 @@ class BatchFleetCore:
     def _run_representative(self, cohort: CohortRun) -> None:
         """Run ``cohort``'s representative in-process, keeping its row,
         device, boundary ledger and final NVM image."""
-        rep_id = int(cohort.device_ids[0])
+        rep_id = cohort.device_ids[0]
         device, runtime = self._build(rep_id)
         ledger = _BoundaryLedger()
 

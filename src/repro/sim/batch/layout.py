@@ -18,15 +18,15 @@ Two containers live here:
   NVM image across a cohort's lanes, and the journal property tests use
   it to prove that commit/recovery behaves identically on imaged state.
 
-:func:`group_lanes` partitions a wave's device ids into cohorts: one
-vectorized key computation and one stable sort on the numpy backend.
+Only :class:`BatchArrays` (and through it the FSM kernel) has a numpy
+backend; the lockstep core uses :class:`SoAImage` alone.
 """
 
 from __future__ import annotations
 
 import copy
 import importlib.util
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.nvm.memory import NonVolatileMemory
@@ -123,35 +123,6 @@ class BatchArrays:
         else:
             for i in range(self.n_lanes) if lanes is None else lanes:
                 col[i] = value
-
-
-def group_lanes(ids: Sequence[int], key: Callable[[Any], Any],
-                backend: str) -> List[Tuple[Any, Any]]:
-    """Partition a wave's device ids by ``key``.
-
-    Returns ``(key, members)`` per group, groups in ``repr`` order of
-    their key and ``members`` in ascending id order. On the numpy
-    backend ``key`` is called once, on the whole int64 id array (it must
-    work elementwise, as ``device_id % 4`` does), one stable sort groups
-    the ids and ``members`` are int64 arrays. The python backend calls
-    ``key`` per id and returns lists.
-    """
-    if backend == "numpy":
-        import numpy as np
-
-        id_arr = np.fromiter(ids, dtype=np.int64, count=len(ids))
-        keys = np.asarray(key(id_arr))
-        order = np.lexsort((id_arr, keys))
-        sorted_keys = keys[order]
-        starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        groups = [(keys[group[0]].item(), id_arr[group])
-                  for group in np.split(order, starts)]
-    else:
-        by_key: Dict[Any, List[int]] = {}
-        for device_id in sorted(ids):
-            by_key.setdefault(key(device_id), []).append(device_id)
-        groups = list(by_key.items())
-    return sorted(groups, key=lambda group: repr(group[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ Three layers, one per piece of ``repro.sim.batch``:
   :class:`BatchFleetCore` must equal a scalar ``Device.run`` of the
   same device — including lanes perturbed with crash schedules
   (divergence), lanes whose perturbation was fully absorbed (rejoin),
-  and waves whose ids are shuffled and non-contiguous. The compact
-  rollup (``weighted_summary``) is held to the exact ``aggregate``.
+  and waves of offset ids. The compact rollup (``weighted_summary``)
+  is held to the exact ``aggregate``.
   Representatives run on the worker pool (``jobs=2``) must give the
   rollouts, rows and lanes of in-process ones (``jobs=1``). A rollout
   runs each cohort's representative once, in the first wave that holds
@@ -41,7 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.generator import generate_machines
-from repro.errors import StateMachineError
+from repro.errors import FleetError, StateMachineError
 from repro.fleet.control import ControlPlane, WaveTask
 from repro.fleet.server import (
     FLEET_SPEC_REGRESSING,
@@ -60,8 +60,6 @@ from repro.sim.batch import (
     SoAImage,
     weighted_summary,
 )
-from repro.sim.batch import core as batch_core
-from repro.sim.batch.layout import group_lanes
 from repro.sim.experiments import SweepPointError
 from repro.sim.pool import PersistentPool, ResultCache, get_pool, shutdown_pools
 from repro.statemachine.interpreter import MachineInstance
@@ -413,12 +411,13 @@ class TestFleetDifferential:
         plan = _plan(seed_mode="per_cohort", lockstep=True,
                      expand_limit=expand_limit)
         sizes = []
+        partition = BatchFleetCore.partition
 
-        def counting(ids, key, backend):
+        def counting(core, ids):
             sizes.append(len(ids))
-            return group_lanes(ids, key, backend)
+            return partition(core, ids)
 
-        monkeypatch.setattr(batch_core, "group_lanes", counting)
+        monkeypatch.setattr(BatchFleetCore, "partition", counting)
         shared = ControlPlane(server, plan=plan)
         got = shared.run_rollout(FLEET_SPEC_V2, 12)
         assert len(shared.ledger) == 2
@@ -440,7 +439,7 @@ class TestFleetDifferential:
         plan = _plan(seed_mode="per_cohort")
         wire = server.encode_update(FLEET_SPEC_V2, 2,
                                     use_delta=plan.use_delta)
-        ids = list(range(8))
+        ids = range(8)
         batch = BatchFleetCore(server, wire, 2, plan).run(ids)
         for device_id in ids:
             device, runtime = server.build_device(device_id, wire, 2, plan)
@@ -459,7 +458,7 @@ class TestFleetDifferential:
         plan = _plan(seed_mode="per_cohort")
         wire = server.encode_update(FLEET_SPEC_V2, 2,
                                     use_delta=plan.use_delta)
-        batch = BatchFleetCore(server, wire, 2, plan).run(list(range(12)))
+        batch = BatchFleetCore(server, wire, 2, plan).run(range(12))
         exact = aggregate(batch.expand())
         rolled = weighted_summary(batch.rows())
         assert rolled.devices == exact.devices
@@ -480,7 +479,7 @@ class TestDivergenceAndRejoin:
         plan = _plan(seed_mode="per_cohort")
         wire = server.encode_update(FLEET_SPEC_V2, 2,
                                     use_delta=plan.use_delta)
-        ids = list(range(8))
+        ids = range(8)
         schedule = (5,)
         batch = BatchFleetCore(server, wire, 2, plan).run(
             ids, perturb={1: schedule})
@@ -519,7 +518,7 @@ class TestDivergenceAndRejoin:
         plan = _plan(seed_mode="per_cohort")
         wire = server.encode_update(FLEET_SPEC_V2, 2,
                                     use_delta=plan.use_delta)
-        ids = list(range(8))
+        ids = range(8)
         batch = BatchFleetCore(server, wire, 2, plan).run(
             ids, perturb={2: ()})
         lane = batch.lanes[2]
@@ -541,7 +540,7 @@ class TestDivergenceAndRejoin:
         plan = _plan(seed_mode="per_cohort")
         wire = server.encode_update(FLEET_SPEC_V2, 2,
                                     use_delta=plan.use_delta)
-        ids = list(range(8))
+        ids = range(8)
         batch = BatchFleetCore(server, wire, 2, plan).run(
             ids, perturb={1: (5,), 2: ()})
         reports = []
@@ -561,20 +560,19 @@ class TestDivergenceAndRejoin:
 
 
 class TestLaneBookkeeping:
-    """Cohort partition and lane bookkeeping for waves whose ids are
-    shuffled, offset and non-contiguous, on each backend: lane ``i``
-    must always be device ``ids[i]``."""
+    """Cohort partition and lane bookkeeping for a wave of offset ids:
+    lane ``i`` must always be device ``IDS[i]``. A wave is a range with
+    step 1; any other sequence of ids is rejected."""
 
-    IDS = [13, 2, 7, 40, 5, 22, 9, 31]
-    PERTURB = {7: (5,)}
+    IDS = range(13, 21)
+    PERTURB = {15: (5,)}
 
     @pytest.mark.parametrize("seed_mode", ["per_cohort", "per_device"])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_arbitrary_wave_ids(self, server, backend, seed_mode):
+    def test_arbitrary_wave_ids(self, server, seed_mode):
         plan = _plan(seed_mode=seed_mode)
         wire = server.encode_update(FLEET_SPEC_V2, 2,
                                     use_delta=plan.use_delta)
-        core = BatchFleetCore(server, wire, 2, plan, backend=backend)
+        core = BatchFleetCore(server, wire, 2, plan)
         batch = core.run(self.IDS, perturb=self.PERTURB)
         assert batch.device_ids == self.IDS
         assert list(batch.lanes) == list(self.PERTURB)
@@ -607,12 +605,25 @@ class TestLaneBookkeeping:
         assert batch.nvm_image_for(1) is None
         assert batch.trace_events_for(1) is None
 
+    @pytest.mark.parametrize("ids", [[13, 14, 15], [15, 13, 14],
+                                     range(13, 21, 2)],
+                             ids=["list", "shuffled", "stepped"])
+    def test_a_wave_that_is_not_a_range_is_rejected(self, server, ids):
+        core = BatchFleetCore(server, None, 2,
+                              _plan(seed_mode="per_cohort"))
+        with pytest.raises(FleetError, match="range with step 1"):
+            core.partition(ids)
+        with pytest.raises(FleetError, match="range with step 1"):
+            core.run(ids)
+
     @pytest.mark.parametrize("seed_mode", ["per_cohort", "per_device"])
-    @given(ids=st.lists(st.integers(min_value=0, max_value=10**6),
-                        min_size=1, max_size=60, unique=True))
+    @given(lo=st.integers(min_value=0, max_value=10**6),
+           size=st.integers(min_value=0, max_value=60))
     @settings(max_examples=60, deadline=None)
     def test_vectorized_partition_agrees_with_cohort_key(self, server,
-                                                         seed_mode, ids):
+                                                         seed_mode, lo,
+                                                         size):
+        ids = range(lo, lo + size)
         core = BatchFleetCore(server, None, 2, _plan(seed_mode=seed_mode))
         reference = {}
         for device_id in ids:
@@ -620,10 +631,9 @@ class TestLaneBookkeeping:
                 device_id)
         want = [(key, sorted(reference[key]))
                 for key in sorted(reference, key=repr)]
-        for backend in BACKENDS:
-            got = [(key, list(members)) for key, members
-                   in group_lanes(ids, core.cohort_key, backend)]
-            assert got == want, backend
+        groups = core.partition(ids)
+        assert all(isinstance(members, range) for _, members in groups)
+        assert [(key, list(members)) for key, members in groups] == want
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +661,7 @@ class TestPooledRepresentatives:
     """Representatives on the worker pool (``jobs=2``) against the
     same waves run in-process (``jobs=1``)."""
 
-    IDS = list(range(8))
+    IDS = range(8)
 
     @staticmethod
     def _core(server, seed_mode="per_cohort"):
@@ -763,7 +773,7 @@ class TestPooledRepresentatives:
 
         monkeypatch.setattr(WaveTask, "__call__", fail_in_workers)
         got = core.run(self.IDS, jobs=2)
-        assert inline == self.IDS
+        assert inline == list(self.IDS)
         assert got.rows() == want.rows()
         assert got.expand() == want.expand()
 
@@ -898,9 +908,9 @@ class TestRowsReusedAcrossWaves:
     def test_perturbed_lanes_in_a_later_wave_still_rejoin(self, server):
         core = TestPooledRepresentatives._core(server)
         known = {}
-        core.run(list(range(8)), known_rows=known)
+        core.run(range(8), known_rows=known)
         assert len(known) == 4
-        ids, perturb = list(range(8, 16)), {9: (5,), 10: ()}
+        ids, perturb = range(8, 16), {9: (5,), 10: ()}
         got = core.run(ids, perturb=perturb, known_rows=known)
         want = core.run(ids, perturb=perturb)
         for cohort in got.cohorts:
@@ -948,6 +958,30 @@ class TestRowsReusedAcrossWaves:
         assert runs == []
         assert _ledger(warm) == _ledger(cold)
 
+    def test_a_warm_rollout_writes_nothing_to_the_cache(self, server,
+                                                        monkeypatch,
+                                                        tmp_path):
+        """Every cohort of every wave and arm looks in the cache first:
+        a cold rollout stores all 20 and a warm one serves all 20,
+        storing none again."""
+        plan = _plan(waves=THREE_WAVES, seed_mode="per_cohort",
+                     lockstep=True)
+        cache = ResultCache(tmp_path / "repro_cache")
+        puts = []
+        put = ResultCache.put
+
+        def counting(self, key, row):
+            puts.append(key)
+            return put(self, key, row)
+
+        monkeypatch.setattr(ResultCache, "put", counting)
+        for want_puts, want_hits in ((20, 0), (0, 20)):
+            puts.clear()
+            hits = cache.hits
+            ControlPlane(server, plan=plan, cache=cache).run_rollout(
+                FLEET_SPEC_V2, 12)
+            assert (len(puts), cache.hits - hits) == (want_puts, want_hits)
+
 
 # ---------------------------------------------------------------------------
 # Batch-aware result-cache keys
@@ -956,25 +990,21 @@ class TestRowsReusedAcrossWaves:
 
 class TestBatchCacheKeys:
     """Cohort rows are keyed by the core's ``repr``, which names its
-    plan (with the run budget), wire, version, backend and base spec."""
+    plan (with the run budget), wire, version and base spec."""
 
     @staticmethod
-    def _core(server, backend="python", **plan):
+    def _core(server, **plan):
         return BatchFleetCore(server, None, 2,
-                              _plan(seed_mode="per_cohort", **plan),
-                              backend=backend)
+                              _plan(seed_mode="per_cohort", **plan))
 
     def test_layout_changes_row_key(self, server):
         key = self._core(server).cache_fingerprint()
         assert key == self._core(server).cache_fingerprint()
         assert key != self._core(server, runs=3).cache_fingerprint()
-        if HAVE_NUMPY:
-            assert key != self._core(server, "numpy").cache_fingerprint()
 
     def test_layout_change_invalidates_cached_rows(self, server, tmp_path):
         """A row stored by one core is served to an identical core and
-        to no other: not under another run budget, not on another
-        backend."""
+        to no other: not under another run budget."""
         from repro.sim.pool import ResultCache
         cache = ResultCache(tmp_path / "repro_cache")
         point = {"device_id": 7}
@@ -985,16 +1015,6 @@ class TestBatchCacheKeys:
             self._core(server).cache_fingerprint(), point)) == row
         assert cache.get(cache.key_for(
             self._core(server, runs=3).cache_fingerprint(), point)) is None
-        if not HAVE_NUMPY:
-            return
-        # Real cores on both backends: python rows never serve numpy.
-        ids = list(range(8))
-        cold = self._core(server, "python").run(ids, cache=cache)
-        other = self._core(server, "numpy").run(ids, cache=cache)
-        warm = self._core(server, "numpy").run(ids, cache=cache)
-        assert not any(c.from_cache for c in cold.cohorts + other.cohorts)
-        assert all(c.from_cache for c in warm.cohorts)
-        assert warm.rows() == other.rows() == cold.rows()
 
     def test_batch_core_cache_roundtrip(self, server, tmp_path):
         """A warm cache replays cohort representatives byte-identically;
@@ -1002,7 +1022,7 @@ class TestBatchCacheKeys:
         plan = _plan(seed_mode="per_cohort")
         wire = server.encode_update(FLEET_SPEC_V2, 2,
                                     use_delta=plan.use_delta)
-        ids = list(range(8))
+        ids = range(8)
         cache_dir = tmp_path / "repro_cache"
         cold = BatchFleetCore(server, wire, 2, plan).run(
             ids, cache=cache_dir)
