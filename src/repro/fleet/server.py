@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.retry import RetryPolicy
 from repro.errors import FleetError
@@ -57,10 +57,13 @@ from repro.workloads.health import (
 FLEET_SPEC_V1 = BENCHMARK_SPEC
 
 #: Energy classes, assigned round-robin by device id
-#: (:meth:`FleetServer.make_device`): device ``d`` is of class
+#: (:meth:`FleetServer.build_key`): device ``d`` is of class
 #: ``d % ENERGY_CLASSES``. Under ``per_cohort`` seeding a device's
 #: build reads its id only through this class.
 ENERGY_CLASSES = 4
+
+#: The energy class that harvests from a seeded RF-mobility trace.
+RF_CLASS = 3
 
 #: A benign update: tighter averaging window (changed machine) plus a
 #: generous new watchdog on bodyTemp (added machine that never fires).
@@ -136,8 +139,11 @@ class RolloutPlan:
             instead of simulating every device individually. With
             ``jobs > 1`` the representatives run on the pool workers.
         seed_mode: ``"per_device"`` seeds each device's RF-mobility
-            trace and chunk-loss stream from its id (every device
-            unique — the scalar default); ``"per_cohort"`` seeds them
+            trace and chunk-loss stream from its id (the scalar
+            default): every RF device is unique, and so is every
+            treated device when chunks can be lost, while the other
+            devices of an energy class build alike
+            (:meth:`FleetServer.build_key`); ``"per_cohort"`` seeds them
             from the device's energy class, collapsing the fleet into
             four byte-identical cohorts — the homogeneous-fleet shape
             the lockstep core amortizes over.
@@ -298,32 +304,53 @@ class FleetServer:
     # Device construction (heterogeneous energy traces)
     # ------------------------------------------------------------------
     @staticmethod
-    def make_device(device_id: int, seed_mode: str = "per_device"):
-        """One of four energy classes, assigned round-robin: wall power,
-        a short and a long fixed charging delay, and an RF-mobility
-        trace. Under ``per_device`` seeding the RF trace is seeded per
-        device (no two RF devices brown out alike); under
-        ``per_cohort`` it is seeded by energy class, so every RF device
-        is byte-identical — the lockstep core's homogeneous-fleet
-        assumption."""
-        kind = device_id % ENERGY_CLASSES
-        if kind == 0:
+    def make_device(energy_class: int, rf_seed: Optional[int] = None):
+        """A device of one of the four energy classes: wall power, a
+        short and a long fixed charging delay, and an RF-mobility trace
+        seeded by ``rf_seed``."""
+        if energy_class == 0:
             return make_continuous_device()
-        if kind == 1:
+        if energy_class == 1:
             return make_intermittent_device(60.0)
-        if kind == 2:
+        if energy_class == 2:
             return make_intermittent_device(300.0)
-        return make_rf_device(
-            seed=kind if seed_mode == "per_cohort" else device_id)
+        return make_rf_device(seed=rf_seed)
+
+    @staticmethod
+    def build_key(device_id: int, wire: Optional[bytes], plan: RolloutPlan
+                  ) -> Tuple[int, Optional[int], Optional[int]]:
+        """Everything :meth:`build_device` reads of ``device_id``: its
+        energy class, its RF trace seed (``None`` outside the RF class)
+        and its chunk-loss seed (``None`` without a loss model). Devices
+        with equal keys run the same simulation, so their rows differ
+        only in ``device_id``.
+
+        The energy class is assigned round-robin. The RF class's trace
+        is seeded by the class under ``per_cohort`` seeding, so every RF
+        device is byte-identical (the lockstep core's homogeneous-fleet
+        assumption), and by the id under ``per_device``, so no two RF
+        devices brown out alike. The chunk-loss stream is seeded the
+        same way, but only a device that is offered the update over a
+        lossy link has one: a paired control never draws from it.
+        """
+        energy_class = device_id % ENERGY_CLASSES
+        base = energy_class if plan.seed_mode == "per_cohort" else device_id
+        rf_seed = base if energy_class == RF_CLASS else None
+        loss_seed = (base * 1_000_003 + plan.seed
+                     if wire is not None and plan.loss_rate > 0.0 else None)
+        return energy_class, rf_seed, loss_seed
 
     def build_device(self, device_id: int, wire: Optional[bytes],
                      new_version: int, plan: RolloutPlan):
-        """Provision one simulated device and offer it the update.
+        """Provision one simulated device and offer it the update. The
+        id enters the build only through :meth:`build_key`.
 
         ``wire=None`` builds the paired control: the identical device
         (same energy trace, same provisioned baseline) with no update
         offered."""
-        device = self.make_device(device_id, plan.seed_mode)
+        energy_class, rf_seed, loss_seed = self.build_key(device_id, wire,
+                                                          plan)
+        device = self.make_device(energy_class, rf_seed)
         app = build_health_app()
         runtime = build_artemis(device, app=app, spec=self.base_spec,
                                 power=health_power_model())
@@ -332,12 +359,8 @@ class FleetServer:
             boot_loop_threshold=plan.boot_loop_threshold,
         )
         installer.install_initial(self.base_bundle)
-        loss = None
-        if plan.loss_rate > 0.0:
-            loss_base = (device_id % ENERGY_CLASSES
-                         if plan.seed_mode == "per_cohort" else device_id)
-            loss = ChunkLoss(rate=plan.loss_rate,
-                             seed=loss_base * 1_000_003 + plan.seed)
+        loss = (None if loss_seed is None
+                else ChunkLoss(rate=plan.loss_rate, seed=loss_seed))
         transport = OtaTransport(
             device.nvm, loss=loss,
             retry_policy=RetryPolicy(max_attempts=plan.retry_max_attempts),
@@ -468,6 +491,12 @@ class WaveTask:
 
     def pre_simulate(self, device_id: int) -> None:
         """Chaos hook; the base task does nothing."""
+
+    def build_key(self, device_id: int) -> Hashable:
+        """The key of ``device_id``'s build in this task's arm
+        (:meth:`FleetServer.build_key`): ids with equal keys give rows
+        equal up to ``device_id``."""
+        return FleetServer.build_key(device_id, self.wire, self.plan)
 
     # -- pickling ----------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.fleet.control import ChaosWaveTask, ControlPlane
 from repro.fleet.server import (
+    ENERGY_CLASSES,
     FLEET_SPEC_REGRESSING,
     FLEET_SPEC_V2,
     FleetServer,
@@ -50,6 +51,19 @@ def crash_set(n_devices):
 def delay_map(n_devices):
     # Roughly every 11th device reports late (seeded, deterministic).
     return {i: 5.0 + (i % 3) for i in range(0, n_devices, 11)}
+
+
+def crash_markers(chaos_dir):
+    return {path.name for path in chaos_dir.iterdir()}
+
+
+def expected_markers(report, crash_devices):
+    """One crash per arm for every nominated device of a simulated
+    wave: a nominated device runs in both arms even where its build
+    matches a device that already ran."""
+    return {f"crash-{arm}-{device_id}"
+            for wave in report.waves for device_id in wave.device_ids
+            if device_id in crash_devices for arm in "tc"}
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +111,9 @@ class TestStreamedSoakUnderChaos:
         assert [e.decision for e in plane.ledger] == \
             ledger_decisions(reference)
         # Chaos actually happened: every nominated device crashed a
-        # worker once per arm in at least the first wave it appeared.
-        markers = list(tmp_path.iterdir())
-        assert markers, "crash injection never fired"
+        # worker once per arm.
+        assert crash_markers(tmp_path) == expected_markers(
+            streamed, crash_set(SOAK_DEVICES))
         assert plane.ledger[-1].queue["dropped"] == 0  # block = lossless
 
     def test_regressing_rollout_halts_identically(self, plan,
@@ -120,6 +134,8 @@ class TestStreamedSoakUnderChaos:
             ledger_decisions(reference)
         assert plane.ledger[-1].rollback_devices == sum(
             1 for t in reference.waves[-1].telemetry if t.installed)
+        assert crash_markers(tmp_path) == expected_markers(
+            streamed, crash_set(SOAK_DEVICES))
 
 
 class TestInlineChaosDeterminism:
@@ -166,4 +182,21 @@ class TestInlineChaosDeterminism:
                                        crash_set(SOAK_DEVICES), {}))
         streamed = plane.run_rollout(FLEET_SPEC_V2, SOAK_DEVICES)
         assert streamed.to_dict() == batch_reference["benign"].to_dict()
-        assert list(tmp_path.iterdir()), "crash injection never fired"
+        assert crash_markers(tmp_path) == expected_markers(
+            streamed, crash_set(SOAK_DEVICES))
+
+    def test_a_later_member_of_a_shared_build_still_crashes(
+            self, plan, batch_reference, tmp_path):
+        """The nominated device is a wave-2 member of a fixed-delay
+        class, whose control build wave 0 already ran: it still runs,
+        and crashes, in both arms."""
+        late = max(d for d in range(SOAK_DEVICES) if d % ENERGY_CLASSES == 1)
+        server = FleetServer()
+        plane = ControlPlane(
+            server, plan=plan, jobs=1,
+            task_factory=chaos_factory(str(tmp_path), (late,), {}))
+        streamed = plane.run_rollout(FLEET_SPEC_V2, SOAK_DEVICES)
+        assert late not in streamed.waves[0].device_ids
+        assert streamed.to_dict() == batch_reference["benign"].to_dict()
+        assert crash_markers(tmp_path) == {f"crash-t-{late}",
+                                           f"crash-c-{late}"}
