@@ -233,8 +233,7 @@ def _measure_batched_fleet(n_devices: int = 2000, trials: int = 2) -> float:
     paired control included) through the lockstep cohort core:
     ``per_cohort`` seeding, compact per-cohort rollup (``expand_limit=0``).
     Guards the lockstep path end to end — cohort partitioning, the
-    representative runs with their boundary ledgers, and the weighted
-    telemetry aggregation."""
+    representative runs, and the weighted telemetry aggregation."""
     from repro.fleet.server import FLEET_SPEC_V2, FleetServer, RolloutPlan
 
     server = FleetServer()

@@ -14,12 +14,11 @@ Two containers live here:
   sparse map of corruption records. ``restore()`` rebuilds a live NVM
   holding byte-identical durable state (corruption records are carried
   over verbatim, so a silently corrupted cell stays detectably corrupt
-  after the round trip). The batched core uses it to share one final
-  NVM image across a cohort's lanes, and the journal property tests use
-  it to prove that commit/recovery behaves identically on imaged state.
+  after the round trip). The journal property tests use it to prove
+  that commit/recovery behaves identically on imaged state.
 
 Only :class:`BatchArrays` (and through it the FSM kernel) has a numpy
-backend; the lockstep core uses :class:`SoAImage` alone.
+backend; the lockstep core uses neither container.
 """
 
 from __future__ import annotations

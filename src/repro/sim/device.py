@@ -30,7 +30,7 @@ without subclassing. With no scheduler attached the hook is a single
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.clock.clock import PersistentClock, SimClock
 from repro.energy.environment import EnergyEnvironment
@@ -198,18 +198,12 @@ class Device:
         runs: int = 1,
         max_time_s: Optional[float] = None,
         max_reboots: Optional[int] = None,
-        on_boundary: Optional[Callable[[int], bool]] = None,
     ) -> RunResult:
         """Execute ``runs`` application iterations of ``runtime``.
 
         Stops early — with ``result.completed = False``, the paper's
         non-termination outcome — when ``max_time_s`` of simulated time
         or ``max_reboots`` power failures elapse first.
-
-        ``on_boundary(k)`` is called right after the ``run_complete``
-        record of run ``k``; a True return stops the run there and
-        returns the result as it stands (the lockstep core's rejoin,
-        which composes the rest from its cohort representative).
         """
         start = self.sim_clock.now()
         self.trace.record(start, "boot", first=True)
@@ -223,9 +217,6 @@ class Device:
                 self.result.runs_completed += 1
                 self.trace.record(self.sim_clock.now(), "run_complete",
                                   run=self.result.runs_completed)
-                if on_boundary is not None and on_boundary(
-                        self.result.runs_completed):
-                    return self.result
                 if self.result.runs_completed < runs:
                     runtime.begin_run(self)
             except PowerFailure:

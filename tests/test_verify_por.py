@@ -13,8 +13,10 @@ Three claims are pinned here:
   byte-stable across interpreter hash seeds (subprocess regression).
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,8 @@ class TestVerdictPreservation:
         assert "POR pruned" in report.summary()
 
 
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
 _DETERMINISM_SCRIPT = """\
 from repro.verify import get_scenario
 scen = get_scenario("synthetic", "chain")
@@ -134,7 +138,8 @@ class TestDeterminism:
         result = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, timeout=300,
-            env={"PYTHONPATH": "src", "PYTHONHASHSEED": str(hash_seed)},
+            env=dict(os.environ, PYTHONPATH=str(_SRC),
+                     PYTHONHASHSEED=str(hash_seed)),
             check=True,
         )
         return result.stdout
