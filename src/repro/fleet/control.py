@@ -12,8 +12,10 @@ talks to — while keeping the batch path's decisions byte-identical:
   and arm, rows come back through a shared-memory table, and every
   finished device becomes a telemetry *event* the moment it lands, not
   when the wave ends. A device whose build an earlier item already ran
-  (:meth:`~repro.fleet.server.FleetServer.build_key`) reports that
-  item's row under its own id.
+  reports that item's row under its own id. Builds are equal when
+  their :meth:`~repro.fleet.server.FleetServer.build_key` is: energy
+  class, RF trace seed and, for a treated device, the chunk-loss
+  outcomes its transfer consumes.
 * **Ingestion** — events flow through a bounded
   :class:`TelemetryQueue` with explicit backpressure (``block``: the
   producer — and transitively the worker pool collector — waits;

@@ -40,7 +40,12 @@ from repro.fleet.telemetry import (
     DeviceTelemetry,
     FleetSummary,
 )
-from repro.fleet.transport import ChunkLoss, OtaTransport
+from repro.fleet.transport import (
+    ChunkLoss,
+    OtaTransport,
+    split_chunks,
+    transfer_outcomes,
+)
 from repro.sim.experiments import SweepPointError
 from repro.sim.pool import fingerprint_hasher
 from repro.workloads.health import (
@@ -140,13 +145,13 @@ class RolloutPlan:
             ``jobs > 1`` the representatives run on the pool workers.
         seed_mode: ``"per_device"`` seeds each device's RF-mobility
             trace and chunk-loss stream from its id (the scalar
-            default): every RF device is unique, and so is every
-            treated device when chunks can be lost, while the other
-            devices of an energy class build alike
-            (:meth:`FleetServer.build_key`); ``"per_cohort"`` seeds them
-            from the device's energy class, collapsing the fleet into
-            four byte-identical cohorts — the homogeneous-fleet shape
-            the lockstep core amortizes over.
+            default): every RF device is unique, while the other
+            devices of an energy class build alike, treated ones only
+            when their streams give the same outcomes until the
+            transfer stops (:meth:`FleetServer.build_key`);
+            ``"per_cohort"`` seeds them from the device's energy class,
+            collapsing the fleet into four byte-identical cohorts — the
+            homogeneous-fleet shape the lockstep core amortizes over.
         expand_limit: largest wave the lockstep path expands into
             per-device :class:`~repro.fleet.telemetry.DeviceTelemetry`
             (byte-identical to scalar); larger waves keep the compact
@@ -317,13 +322,12 @@ class FleetServer:
         return make_rf_device(seed=rf_seed)
 
     @staticmethod
-    def build_key(device_id: int, wire: Optional[bytes], plan: RolloutPlan
-                  ) -> Tuple[int, Optional[int], Optional[int]]:
+    def _build_inputs(device_id: int, wire: Optional[bytes],
+                      plan: RolloutPlan
+                      ) -> Tuple[int, Optional[int], Optional[ChunkLoss]]:
         """Everything :meth:`build_device` reads of ``device_id``: its
         energy class, its RF trace seed (``None`` outside the RF class)
-        and its chunk-loss seed (``None`` without a loss model). Devices
-        with equal keys run the same simulation, so their rows differ
-        only in ``device_id``.
+        and its chunk-loss model (``None`` without one).
 
         The energy class is assigned round-robin. The RF class's trace
         is seeded by the class under ``per_cohort`` seeding, so every RF
@@ -336,20 +340,47 @@ class FleetServer:
         energy_class = device_id % ENERGY_CLASSES
         base = energy_class if plan.seed_mode == "per_cohort" else device_id
         rf_seed = base if energy_class == RF_CLASS else None
-        loss_seed = (base * 1_000_003 + plan.seed
-                     if wire is not None and plan.loss_rate > 0.0 else None)
-        return energy_class, rf_seed, loss_seed
+        loss = (ChunkLoss(rate=plan.loss_rate,
+                          seed=base * 1_000_003 + plan.seed)
+                if wire is not None and plan.loss_rate > 0.0 else None)
+        return energy_class, rf_seed, loss
+
+    @staticmethod
+    def build_key(device_id: int, wire: Optional[bytes], plan: RolloutPlan
+                  ) -> Tuple[int, Optional[int], Optional[Tuple[bool, ...]]]:
+        """What a build's simulation reads of ``device_id``: its energy
+        class, its RF trace seed (``None`` outside the RF class) and the
+        chunk-loss outcomes its transfer consumes (``None`` without a
+        loss model). Devices with equal keys run the same simulation, so
+        their rows differ only in ``device_id``.
+
+        The device reads its loss model only as one outcome per chunk
+        attempt, so the key holds those outcomes rather than the seed
+        that produced them. They are drawn from a twin of the model
+        :meth:`build_device` gives the device (:meth:`_build_inputs`),
+        up to where the transfer must stop
+        (:func:`~repro.fleet.transport.transfer_outcomes`). A run that
+        ends before its transfer does draws only a prefix of them, which
+        makes the key finer than it needs to be, never wrong.
+        """
+        energy_class, rf_seed, loss = FleetServer._build_inputs(
+            device_id, wire, plan)
+        outcomes = (None if loss is None else transfer_outcomes(
+            loss, len(split_chunks(wire, plan.chunk_size)),
+            plan.retry_max_attempts))
+        return energy_class, rf_seed, outcomes
 
     def build_device(self, device_id: int, wire: Optional[bytes],
                      new_version: int, plan: RolloutPlan):
         """Provision one simulated device and offer it the update. The
-        id enters the build only through :meth:`build_key`.
+        id enters the build only through :meth:`_build_inputs`, which
+        :meth:`build_key` summarizes.
 
         ``wire=None`` builds the paired control: the identical device
         (same energy trace, same provisioned baseline) with no update
         offered."""
-        energy_class, rf_seed, loss_seed = self.build_key(device_id, wire,
-                                                          plan)
+        energy_class, rf_seed, loss = self._build_inputs(device_id, wire,
+                                                         plan)
         device = self.make_device(energy_class, rf_seed)
         app = build_health_app()
         runtime = build_artemis(device, app=app, spec=self.base_spec,
@@ -359,8 +390,6 @@ class FleetServer:
             boot_loop_threshold=plan.boot_loop_threshold,
         )
         installer.install_initial(self.base_bundle)
-        loss = (None if loss_seed is None
-                else ChunkLoss(rate=plan.loss_rate, seed=loss_seed))
         transport = OtaTransport(
             device.nvm, loss=loss,
             retry_policy=RetryPolicy(max_attempts=plan.retry_max_attempts),

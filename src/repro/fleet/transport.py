@@ -20,7 +20,7 @@ installed monitor set rather than retrying forever.
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.deployments import RadioLink
 from repro.core.retry import RetryPolicy, RetrySupervisor
@@ -48,6 +48,35 @@ def split_chunks(wire: bytes, chunk_size: int) -> List[bytes]:
     if chunk_size < 1:
         raise FleetError(f"chunk size must be >= 1, got {chunk_size}")
     return [wire[i:i + chunk_size] for i in range(0, len(wire), chunk_size)]
+
+
+def transfer_outcomes(loss: SensorFault, chunks: int,
+                      max_attempts: int) -> Tuple[bool, ...]:
+    """The outcomes (``True`` = lost) that a transfer of ``chunks``
+    chunks draws from ``loss``, under a livelock guard of
+    ``max_attempts``.
+
+    It must stop exactly where :meth:`OtaTransport.step` stops drawing:
+    after the ``chunks``-th delivery (``"complete"``) or after
+    ``max_attempts`` consecutive losses of one chunk (``"failed"``). A
+    delivery resets the loss run, as ``step`` clears the chunk's
+    counter. Each outcome is one :meth:`~repro.peripherals.faults.
+    SensorFault.fires` draw, which reads no time as long as ``loss`` has
+    no windows (a fleet build gives it none), so a device whose model
+    gives these outcomes makes exactly these draws, or a prefix of them
+    if its run ends first.
+    """
+    outcomes: List[bool] = []
+    delivered = lost = 0
+    while delivered < chunks and lost < max_attempts:
+        fired = loss.fires(0.0)
+        outcomes.append(fired)
+        if fired:
+            lost += 1
+        else:
+            delivered += 1
+            lost = 0
+    return tuple(outcomes)
 
 
 class OtaTransport:
@@ -111,14 +140,14 @@ class OtaTransport:
         path. Anything else (first offer, a different bundle) restarts
         the staging area.
         """
+        self._chunks = split_chunks(wire, self.chunk_size)
         desc = {
             "version": int(version),
             "size": len(wire),
-            "chunks": len(split_chunks(wire, self.chunk_size)),
+            "chunks": len(self._chunks),
             "chunk_size": self.chunk_size,
             "crc": zlib.crc32(wire) & 0xFFFFFFFF,
         }
-        self._chunks = split_chunks(wire, self.chunk_size)
         if self._desc.get() != desc:
             self._desc.set(desc)
             self._next.set(0)

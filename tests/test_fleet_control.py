@@ -36,7 +36,6 @@ from repro.fleet.server import (
     RolloutReport,
 )
 from repro.fleet.telemetry import DeviceTelemetry, aggregate
-from repro.fleet.transport import ChunkLoss
 from repro.sim.batch import BatchFleetCore
 from repro.sim.pool import PersistentPool, ResultCache
 
@@ -385,19 +384,44 @@ def _key(device_id, wire, plan):
     return FleetServer.build_key(device_id, wire, plan)
 
 
+def _record_draws(loss):
+    """Record each outcome ``loss`` gives, on this model instance only
+    (not on a twin that ``build_key`` draws from)."""
+    outcomes = []
+    fires = loss.fires
+
+    def recording(t):
+        outcomes.append(fires(t))
+        return outcomes[-1]
+
+    loss.fires = recording
+    return outcomes
+
+
+#: Links whose transfers lose chunks and complete, all abort, or are
+#: all cut short by the end of a one-run simulation.
+LOSSY_PLAN = RolloutPlan(runs=1, loss_rate=0.3)
+ABORT_PLAN = RolloutPlan(runs=1, loss_rate=0.7, retry_max_attempts=2)
+MID_TRANSFER_PLAN = RolloutPlan(runs=1, loss_rate=0.3, chunk_size=16)
+
+
 class TestBuildKey:
     @settings(max_examples=40, deadline=None)
     @given(seed_mode=st.sampled_from(["per_device", "per_cohort"]),
            offered=st.booleans(),
-           loss_rate=st.sampled_from([0.0, 0.02, 0.3]), data=st.data())
+           link=st.sampled_from([
+               {"loss_rate": 0.0}, {"loss_rate": 0.02}, {"loss_rate": 0.3},
+               {"loss_rate": 0.7, "retry_max_attempts": 2},
+               {"loss_rate": 0.3, "chunk_size": 16}]),
+           data=st.data())
     def test_equal_keys_give_rows_equal_up_to_the_id(self, seed_mode,
-                                                     offered, loss_rate,
-                                                     data):
+                                                     offered, link, data):
         """The key is complete: whatever else ``build_device`` read of
         an id would split some pair of equal-keyed ids' rows. (At a
         loss rate of 0.02 most transfers lose no chunk, so 0.3 is there
-        to make a loss stream that the key missed show in the rows.)"""
-        plan = RolloutPlan(runs=1, seed_mode=seed_mode, loss_rate=loss_rate)
+        to make a loss the key missed show in the rows; the last two
+        links abort every transfer or cut every one short.)"""
+        plan = RolloutPlan(runs=1, seed_mode=seed_mode, **link)
         wire = _v2_delta() if offered else None
         a = data.draw(st.integers(0, 63), label="a")
         same = [d for d in range(64)
@@ -408,33 +432,54 @@ class TestBuildKey:
         assert (row_a["device_id"], row_b["device_id"]) == (a, b)
         assert dict(row_a, device_id=b) == row_b
 
-    def test_a_control_build_never_draws_a_chunk_loss(self, monkeypatch):
+    @pytest.mark.parametrize("plan, outcome", [
+        (LOSSY_PLAN, "installed"), (ABORT_PLAN, "failed"),
+        (MID_TRANSFER_PLAN, "pending")],
+        ids=["lossy", "abort", "mid-transfer"])
+    def test_the_key_never_stops_before_the_device(self, plan, outcome):
+        """A device draws a prefix of its key's loss outcomes, and all
+        of them when its transfer ends: the key's stopping rule stops
+        no earlier than ``OtaTransport.step``."""
+        server, wire = FleetServer(), _v2_delta()
+        losses = 0
+        for device_id in range(32):
+            device, runtime = server.build_device(device_id, wire, 2, plan)
+            draws = _record_draws(runtime.transport.loss)
+            device.run(runtime, runs=plan.runs, max_time_s=plan.max_time_s,
+                       max_reboots=plan.max_reboots)
+            assert runtime.update_outcome == outcome
+            outcomes = _key(device_id, wire, plan)[2]
+            assert tuple(draws) == outcomes[:len(draws)]
+            if outcome != "pending":
+                assert tuple(draws) == outcomes
+            losses += sum(draws)
+        assert losses  # every plan loses chunks
+
+    def test_a_control_build_never_draws_a_chunk_loss(self):
         """A control is built without a loss model, which changes
         nothing: offered no update, a device never reaches the draw, so
         a control given the model its treated twin has draws 0 times and
         reports the same row."""
         plan = RolloutPlan(runs=2)
         server = FleetServer()
-        draws = []
-        fires = ChunkLoss.fires
-        monkeypatch.setattr(
-            ChunkLoss, "fires",
-            lambda loss, t: draws.append(t) or fires(loss, t))
         control = WaveTask(server.base_spec, 1, None, 2, plan)
         for device_id in range(ENERGY_CLASSES):
             device, runtime = server.build_device(device_id, None, 2, plan)
             assert runtime.transport.loss is None
-            loss_seed = _key(device_id, b"update", plan)[2]
-            runtime.transport.loss = ChunkLoss(rate=plan.loss_rate,
-                                               seed=loss_seed)
+            loss = FleetServer._build_inputs(device_id, b"update", plan)[2]
+            draws = _record_draws(loss)
+            runtime.transport.loss = loss
             result = device.run(runtime, runs=plan.runs,
                                 max_time_s=plan.max_time_s,
                                 max_reboots=plan.max_reboots)
             row = DeviceTelemetry.from_device(device_id, device, result,
                                               runtime).to_row()
             assert row == control(device_id)
-        assert draws == []
-        WaveTask(server.base_spec, 1, _v2_delta(), 2, plan)(0)
+            assert draws == []
+        device, runtime = server.build_device(0, _v2_delta(), 2, plan)
+        draws = _record_draws(runtime.transport.loss)
+        device.run(runtime, runs=plan.runs, max_time_s=plan.max_time_s,
+                   max_reboots=plan.max_reboots)
         assert draws  # the wrapper counts a treated device's draws
 
     @settings(max_examples=40, deadline=None)
@@ -457,12 +502,15 @@ class TestBuildKey:
                           core.partition(ids)))
 
 
-#: 16 devices in waves of 4 and 12: the treated arm is built once per
-#: device; the control arm once per non-RF class (in wave 0) and once
-#: per RF device.
+#: 16 devices in waves of 4 and 12: the control arm is built once per
+#: non-RF class (in wave 0) and once per RF device. The treated arm is
+#: built once per RF device and once per distinct sequence of chunk-loss
+#: outcomes in each other class: running every treated device with its
+#: own model recorded, devices 4, 6, 13 and 14 drew what 0, 2, 1 and 2
+#: drew. Each build is its lowest id, the first one to run.
 REUSE_PLAN = RolloutPlan(waves=(0.25, 1.0), runs=2)
 REUSE_DEVICES = 16
-TREATED_BUILDS = list(range(REUSE_DEVICES))
+TREATED_BUILDS = [0, 1, 2, 3, 5, 7, 8, 9, 10, 11, 12, 15]
 CONTROL_BUILDS = [0, 1, 2] + [d for d in range(REUSE_DEVICES)
                               if d % ENERGY_CLASSES == RF_CLASS]
 
