@@ -14,18 +14,19 @@ commits therefore do **not** hide behind one consume call: the journaled
 two-phase commit (:class:`~repro.nvm.transaction.Transaction`) pays one
 ``commit``-category consume per journal append, one for the checksummed
 status flip, and one per apply step — so every interior step of a commit
-is a distinct crash point fault injectors can target, and only the
+is a distinct crash point a crash scheduler can target, and only the
 status flip itself is atomic. ``commit``-category steps default to zero
-duration (``PowerModel.commit_step_s``); fault injectors intercept the
-call itself, so they can still place a brown-out inside a zero-cost
-commit.
+duration (``PowerModel.commit_step_s``); a scheduler sees the call
+itself, so it can still place a brown-out inside a zero-cost commit.
 
 Scheduler hook: a :attr:`Device.scheduler` object (default ``None``)
 sees every payment first via ``before_consume`` and may inject a
-brown-out at that exact point — this is how the conformance checker
-(:mod:`repro.verify`) drives exhaustive crash-schedule exploration
-without subclassing. With no scheduler attached the hook is a single
-``None`` check and the device behaves exactly as before.
+brown-out at that exact point. The conformance checker
+(:mod:`repro.verify`) and the fault injectors (:mod:`repro.sim.faults`)
+are both such schedulers, so a placed crash dies through
+:meth:`Device._die` and comes back through :meth:`Device.reboot`, as an
+organic one does. With no scheduler attached the hook is a single
+``None`` check.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class Device:
         """
         if self.scheduler is not None and self.scheduler.before_consume(
                 duration_s, power_w, category):
-            self._scheduled_failure(category)
+            self._die(category, injected=True)
         if category not in CATEGORIES:
             raise SimulationError(f"unknown consumption category {category!r}")
         if duration_s < 0 or power_w < 0:
@@ -130,38 +131,31 @@ class Device:
         self.env.harvest(t, t + time_to_die)
         self.env.consume(time_to_die * power_w)
         self._account(time_to_die, power_w, category)
-        self._alive = False
-        died_at = self.sim_clock.now()
-        self.trace.record(died_at, "power_failure", category=category)
-        raise PowerFailure(died_at)
+        self._die(category)
 
     def consume_energy(self, energy_j: float, category: str) -> None:
         """Instantaneous draw (e.g. a radio wake burst)."""
         if self.scheduler is not None and self.scheduler.before_consume(
                 0.0, 0.0, category):
-            self._scheduled_failure(category)
+            self._die(category, injected=True)
         if category not in CATEGORIES:
             raise SimulationError(f"unknown consumption category {category!r}")
         if energy_j < 0:
             raise SimulationError("energy must be non-negative")
         self.result.energy_j[category] += min(energy_j, self.env.usable_energy())
         if not self.env.consume(energy_j):
-            self._alive = False
-            died_at = self.sim_clock.now()
-            self.trace.record(died_at, "power_failure", category=category)
-            raise PowerFailure(died_at)
+            self._die(category)
 
-    def _scheduled_failure(self, category: str) -> None:
-        """Injected brown-out, placed by the attached scheduler.
+    def _die(self, category: str, **detail) -> None:
+        """Brown out now: stop, trace ``power_failure``, raise.
 
-        Like the :mod:`repro.sim.faults` devices, the failure lands
-        *before* the payment's work happens, so the scheduler's crash
-        points coincide exactly with the fault injectors'.
+        A scheduler's failure passes ``injected=True`` and lands
+        *before* the payment's work happens.
         """
         self._alive = False
         died_at = self.sim_clock.now()
         self.trace.record(died_at, "power_failure", category=category,
-                          injected=True)
+                          **detail)
         raise PowerFailure(died_at)
 
     def _account(self, duration_s: float, power_w: float, category: str) -> None:

@@ -193,15 +193,15 @@ class TestBaselineCrashConsistency:
         base_log = device.nvm.cell(channel_cell_name("log")).get()
 
         # Count the commit steps, then crash at each one in turn.
-        probe = FailDuringCommit(indices=set())
+        probe = FailDuringCommit(indices=set()).device
         assert probe.run(make_runtime(probe), max_time_s=600).completed
-        total_steps = probe.steps
+        total_steps = probe.scheduler.steps
         assert total_steps >= 3 * 4  # >= 2n+2 points per task commit
 
         for step in range(1, total_steps + 1):
-            injector = FailDuringCommit({step})
-            result = injector.run(make_runtime(injector), max_time_s=600)
-            log = injector.nvm.cell(channel_cell_name("log")).get()
+            device = FailDuringCommit({step}).device
+            result = device.run(make_runtime(device), max_time_s=600)
+            log = device.nvm.cell(channel_cell_name("log")).get()
             assert result.completed, f"commit step {step} wedged the run"
             assert result.reboots == 1
             assert result.torn_commits + result.journal_replays == 1
@@ -233,13 +233,13 @@ class TestBaselineCrashConsistency:
         )
         # Crash inside the first task's commit on every possible step.
         for step in range(1, 13):
-            injector = FailDuringCommit({step})
-            runtime = MayflyRuntime(app, config, injector, power())
-            result = injector.run(runtime, max_time_s=600)
+            device = FailDuringCommit({step}).device
+            runtime = MayflyRuntime(app, config, device, power())
+            result = device.run(runtime, max_time_s=600)
             if not result.completed:
                 continue  # step index beyond this run's commit steps
             from repro.taskgraph.context import channel_cell_name
-            log = injector.nvm.cell(channel_cell_name("log")).get()
+            log = device.nvm.cell(channel_cell_name("log")).get()
             # A double-counted `a` would let `b` run after a single
             # append; rolled-back commits re-run `a` in full. Either
             # way the committed log must match the failure-free oracle.

@@ -1,4 +1,5 @@
-"""Tests for the fault-injection device library."""
+"""Tests for the fault injectors, crash schedulers on a continuous-power
+device."""
 
 import pytest
 
@@ -46,7 +47,7 @@ def make_runtime(device):
 
 class TestFailAtIndices:
     def test_fails_at_exact_calls(self):
-        device = FailAtIndices({1, 3})
+        device = FailAtIndices({1, 3}).device
         with pytest.raises(PowerFailure):
             device.consume(0.1, 1e-3, "app")
         device.reboot()
@@ -55,14 +56,14 @@ class TestFailAtIndices:
             device.consume(0.1, 1e-3, "app")
 
     def test_run_completes_through_failures(self):
-        device = FailAtIndices({2, 5})
+        device = FailAtIndices({2, 5}).device
         result = device.run(make_runtime(device), max_time_s=600)
         assert result.completed
         assert result.reboots == 2
         assert device.nvm.cell(channel_cell_name("log")).get() == ["a", "b", "c"]
 
     def test_injected_failures_marked_in_trace(self):
-        device = FailAtIndices({1})
+        device = FailAtIndices({1}).device
         device.run(make_runtime(device), max_time_s=600)
         failures = device.trace.of_kind("power_failure")
         assert failures and failures[0].detail.get("injected")
@@ -70,7 +71,7 @@ class TestFailAtIndices:
 
 class TestFailAtCategoryIndices:
     def test_category_scoped(self):
-        device = FailAtCategoryIndices({"monitor": {1}})
+        device = FailAtCategoryIndices({"monitor": {1}}).device
         result = device.run(make_runtime(device), max_time_s=600)
         assert result.completed
         failure = device.trace.of_kind("power_failure")[0]
@@ -81,19 +82,19 @@ class TestFailRandomly:
     def test_deterministic_per_seed(self):
         logs = []
         for _ in range(2):
-            device = FailRandomly(p=0.05, seed=11)
+            device = FailRandomly(p=0.05, seed=11).device
             device.run(make_runtime(device), max_time_s=600)
             logs.append([e.kind for e in device.trace])
         assert logs[0] == logs[1]
 
     def test_completes_despite_random_failures(self):
-        device = FailRandomly(p=0.10, seed=3)
+        device = FailRandomly(p=0.10, seed=3).device
         result = device.run(make_runtime(device), max_time_s=600)
         assert result.completed
         assert device.nvm.cell(channel_cell_name("log")).get() == ["a", "b", "c"]
 
     def test_max_failures_cap(self):
-        device = FailRandomly(p=0.9, seed=1, max_failures=4)
+        device = FailRandomly(p=0.9, seed=1, max_failures=4).device
         result = device.run(make_runtime(device), max_time_s=600)
         assert result.completed
         assert result.reboots <= 4
@@ -106,27 +107,27 @@ class TestFailRandomly:
 
     def test_boundary_probabilities_accepted(self):
         """p=1.0 (always fail) and p=0.0 (never fail) are legal."""
-        always = FailRandomly(p=1.0, max_failures=1)
+        always = FailRandomly(p=1.0, max_failures=1).device
         with pytest.raises(PowerFailure):
             always.consume(0.1, 1e-3, "app")
-        never = FailRandomly(p=0.0)
+        never = FailRandomly(p=0.0).device
         result = never.run(make_runtime(never), max_time_s=600)
         assert result.completed and result.reboots == 0
 
 
 class TestFailDuringCommit:
     def test_counts_only_commit_steps(self):
-        device = FailDuringCommit({2})
+        device = FailDuringCommit({2}).device
         device.consume(0.1, 1e-3, "app")     # not counted
         device.consume(0.0, 1e-3, "commit")  # step 1
         with pytest.raises(PowerFailure):
             device.consume(0.0, 1e-3, "commit")  # step 2 dies
-        assert device.steps == 2
+        assert device.scheduler.steps == 2
 
     def test_recovery_resolves_the_torn_commit(self):
         """A crash inside a commit is rolled back or forward at boot and
         the run still produces the failure-free result."""
-        device = FailDuringCommit({3})
+        device = FailDuringCommit({3}).device
         result = device.run(make_runtime(device), max_time_s=600)
         assert result.completed
         assert result.reboots == 1
@@ -136,7 +137,7 @@ class TestFailDuringCommit:
 
 class TestBitFlipDevice:
     def test_corruption_is_silent_until_verified(self):
-        device = BitFlipDevice({2: "chan.log"})
+        device = BitFlipDevice({2: "chan.log"}).device
         nvm = device.nvm
         nvm.alloc("chan.log", initial=["x"])
         device.consume(0.1, 1e-3, "app")
@@ -152,7 +153,7 @@ class TestBitFlipDevice:
         # chan.log first exists after task a's commit applies it (call
         # 11): allocation now rides inside the journaled apply step, so
         # the flip must land after the first commit, not inside it.
-        device = BitFlipDevice({12: "chan.log"}, crash_at=13)
+        device = BitFlipDevice({12: "chan.log"}, crash_at=13).device
         result = device.run(make_runtime(device), max_time_s=600)
         assert result.completed
         assert result.corruptions_detected >= 1
@@ -160,10 +161,19 @@ class TestBitFlipDevice:
         assert device.trace.count("corruption_detected") >= 1
         assert device.trace.count("recovery") >= 1
 
+    def test_flip_at_the_crashing_payment_lands_before_the_crash(self):
+        device = BitFlipDevice({2: "chan.log"}, crash_at=2).device
+        device.nvm.alloc("chan.log", initial=["x"])
+        device.consume(0.1, 1e-3, "app")
+        with pytest.raises(PowerFailure):
+            device.consume(0.1, 1e-3, "app")
+        assert not device.nvm.verify("chan.log")
+        assert [e.kind for e in device.trace] == ["bit_flip", "power_failure"]
+
 
 class TestFailDuringTasks:
     def test_named_task_dies_n_times(self):
-        device = FailDuringTasks({"b": 3})
+        device = FailDuringTasks({"b": 3}).device
         result = device.run(make_runtime(device), max_time_s=600)
         assert result.completed
         b_starts = [e for e in device.trace.of_kind("task_start")
@@ -174,7 +184,7 @@ class TestFailDuringTasks:
     def test_combines_with_maxtries(self):
         app = pipeline_app()
         props = load_properties("b { maxTries: 3 onFail: skipPath; }", app)
-        device = FailDuringTasks({"b": 99})
+        device = FailDuringTasks({"b": 99}).device
         runtime = ArtemisRuntime(app, props, device, power())
         result = device.run(runtime, max_time_s=600)
         assert result.completed
@@ -186,7 +196,7 @@ class TestFailDuringTasks:
 
 class TestInjectedReboots:
     def test_reboot_marks_the_access_log(self):
-        device = FailAtIndices({1})
+        device = FailAtIndices({1}).device
         log = AccessLog()
         device.nvm.attach_access_log(log)
         epoch, region = log.epoch, log.region
@@ -199,7 +209,7 @@ class TestInjectedReboots:
             OP_REBOOT, epoch + 1, region + 1)
 
     def test_every_injected_reboot_is_one_power_cycle_in_the_log(self):
-        device = FailRandomly(p=0.05, seed=1)
+        device = FailRandomly(p=0.05, seed=1).device
         log = AccessLog()
         device.nvm.attach_access_log(log)
         result = device.run(make_runtime(device), max_time_s=600)
@@ -211,14 +221,14 @@ class TestInjectedReboots:
 def _fail_at_second_payment(name):
     """(injector, category) that must die at the second payment."""
     if name == "indices":
-        return FailAtIndices({2}), "app"
+        return FailAtIndices({2}).device, "app"
     if name == "category":
-        return FailAtCategoryIndices({"runtime": {2}}), "runtime"
+        return FailAtCategoryIndices({"runtime": {2}}).device, "runtime"
     if name == "random":
-        return FailRandomly(p=1.0, max_failures=None), "app"
+        return FailRandomly(p=1.0, max_failures=None).device, "app"
     if name == "commit":
-        return FailDuringCommit({2}), "commit"
-    return BitFlipDevice({}, crash_at=2), "app"
+        return FailDuringCommit({2}).device, "commit"
+    return BitFlipDevice({}, crash_at=2).device, "app"
 
 
 class TestEnergyPayments:
@@ -226,12 +236,12 @@ class TestEnergyPayments:
     it is to a scheduler attached to a plain :class:`Device`."""
 
     def test_always_failing_device_dies_at_an_energy_payment(self):
-        device = FailRandomly(p=1.0)
+        device = FailRandomly(p=1.0).device
         with pytest.raises(PowerFailure):
             device.consume_energy(1e-6, "app")
         failure = device.trace.of_kind("power_failure")[-1]
         assert failure.detail == {"category": "app", "injected": True}
-        assert device.failures == 1
+        assert device.scheduler.failures == 1
         assert device.result.energy_j["app"] == 0.0
         assert not device.alive
 
@@ -240,9 +250,9 @@ class TestEnergyPayments:
     def test_energy_payment_counts_once(self, name):
         device, category = _fail_at_second_payment(name)
         if name == "random":
-            device.p = 0.0
+            device.scheduler.p = 0.0
             device.consume(0.0, 1e-3, category)
-            device.p = 1.0
+            device.scheduler.p = 1.0
         else:
             device.consume(0.0, 1e-3, category)
         with pytest.raises(PowerFailure):
@@ -251,20 +261,20 @@ class TestEnergyPayments:
             "category": category, "injected": True}
 
     def test_task_energy_payment_is_one_of_its_app_payments(self):
-        device = FailDuringTasks({"a": 1})
+        device = FailDuringTasks({"a": 1}).device
         device.trace.record(0.0, "task_start", task="a")
         with pytest.raises(PowerFailure):
             device.consume_energy(1e-6, "app")
         device.reboot()
         device.consume(0.1, 1e-3, "app")
-        assert device.remaining == {"a": 0}
+        assert device.scheduler.remaining == {"a": 0}
 
     def test_bit_flip_lands_at_an_energy_payment(self):
-        device = BitFlipDevice({2: "chan.log"})
+        device = BitFlipDevice({2: "chan.log"}).device
         device.nvm.alloc("chan.log", initial=["x"])
         device.consume(0.1, 1e-3, "app")
         device.consume_energy(1e-6, "app")
-        assert device.calls == 2
+        assert device.scheduler.calls == 2
         assert not device.nvm.verify("chan.log")
 
 
@@ -299,22 +309,56 @@ def _surcharge_index():
     return surcharges[0]
 
 
-def _without_boot_details(device):
-    return [(e.t, e.kind, {} if e.kind == "boot" else e.detail)
-            for e in device.trace]
+#: One injector of each kind that crashes ``make_runtime`` at least once;
+#: ``BitFlipDevice`` flips nothing, since the runner only crashes.
+INJECTORS = {
+    "indices": lambda: FailAtIndices({2, 5}),
+    "category": lambda: FailAtCategoryIndices({"monitor": {1}, "commit": {4}}),
+    "random": lambda: FailRandomly(p=0.10, seed=3),
+    "commit": lambda: FailDuringCommit({3}),
+    "bitflip": lambda: BitFlipDevice({}, crash_at=13),
+    "tasks": lambda: FailDuringTasks({"b": 3}),
+}
 
 
 class TestInjectorsAndSchedulerAgree:
+    @pytest.mark.parametrize("name", sorted(INJECTORS))
+    def test_injector_crashes_replay_on_the_runner(self, name):
+        """The payments an injector crashes at, replayed by
+        :class:`CrashScheduleRunner`, give the same run."""
+        injector = INJECTORS[name]()
+        decisions = []
+        decide = injector.before_consume
+
+        def spy(duration_s, power_w, category):
+            decisions.append(decide(duration_s, power_w, category))
+            return decisions[-1]
+
+        injector.before_consume = spy
+        injected = injector.device
+        injected_result = injected.run(make_runtime(injected), max_time_s=600)
+        schedule = [i for i, crash in enumerate(decisions, 1) if crash]
+        assert schedule and injected_result.reboots == len(schedule)
+        scheduled = Device(EnergyEnvironment.continuous())
+        CrashScheduleRunner(schedule, record_from=None).bind(scheduled)
+        scheduled_result = scheduled.run(make_runtime(scheduled),
+                                         max_time_s=600)
+        assert scheduled.scheduler.calls == len(decisions)
+        assert injected.trace.events == scheduled.trace.events
+        assert injected_result == scheduled_result
+        assert (injected.nvm.state_fingerprint()
+                == scheduled.nvm.state_fingerprint())
+
     def test_both_crash_at_a_retry_surcharge(self):
         index = _surcharge_index()
-        injected = FailAtIndices((index,))
+        injected = FailAtIndices((index,)).device
         injected_result = injected.run(_surcharged_runtime(injected),
                                        max_time_s=600)
         scheduled = Device(EnergyEnvironment.continuous())
         CrashScheduleRunner((index,), record_from=None).bind(scheduled)
         scheduled_result = scheduled.run(_surcharged_runtime(scheduled),
                                          max_time_s=600)
-        assert injected.calls == scheduled.scheduler.calls
+        assert injected.scheduler.calls == scheduled.scheduler.calls
         for device in (injected, scheduled):
             failures = device.trace.of_kind("power_failure")
             assert [f.detail for f in failures] == [
@@ -322,8 +366,7 @@ class TestInjectorsAndSchedulerAgree:
             kinds = [e.kind for e in device.trace]
             crash = kinds.index("power_failure")
             assert kinds[crash - 1] == "task_retry"
-        assert _without_boot_details(injected) == _without_boot_details(
-            scheduled)
+        assert injected.trace.events == scheduled.trace.events
         assert injected_result == scheduled_result
         assert (injected.nvm.state_fingerprint()
                 == scheduled.nvm.state_fingerprint())
@@ -332,7 +375,7 @@ class TestInjectorsAndSchedulerAgree:
         """The failed attempt is written before its surcharge is paid,
         so after the reboot the second failure trips the watchdog, as in
         a run without the crash."""
-        device = FailAtIndices((_surcharge_index(),))
+        device = FailAtIndices((_surcharge_index(),)).device
         result = device.run(_surcharged_runtime(device), max_time_s=600)
         assert result.completed and result.reboots == 1
         failure = device.trace.of_kind("power_failure")[0]

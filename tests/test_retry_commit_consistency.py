@@ -54,7 +54,7 @@ def _build(fail_first, rate, fault_seed, max_attempts, crash_indices):
             return False
 
     peripherals.attach("adc", FailFirst(fail_first))
-    device = FailDuringCommit(crash_indices)
+    device = FailDuringCommit(crash_indices).device
     props = load_properties("record { maxTries: 50 onFail: skipTask; }", app)
     runtime = ArtemisRuntime(
         app, props, device,

@@ -1,11 +1,11 @@
 """Golden digests of the four runtimes under brown-outs and sensor faults.
 
-ARTEMIS, Mayfly, Chain and the checkpoint runtime each run on
-:class:`~repro.sim.faults.FailRandomly` devices at a few brown-out
-rates, with burst-dropout sensor faults (checkpoint: a block that
-raises :class:`~repro.errors.PeripheralError` from a seeded RNG) and a
-:class:`~repro.core.retry.RetryPolicy` with backoff and a per-retry
-energy surcharge. Every case writes one line to
+ARTEMIS, Mayfly, Chain and the checkpoint runtime each run on the
+continuous-power device of a :class:`~repro.sim.faults.FailRandomly`
+injector at a few brown-out rates, with burst-dropout sensor faults
+(checkpoint: a block that raises :class:`~repro.errors.PeripheralError`
+from a seeded RNG) and a :class:`~repro.core.retry.RetryPolicy` with
+backoff and a per-retry energy surcharge. Every case writes one line to
 ``tests/goldens/runtime_faults.txt``: a digest of the trace records,
 the :class:`~repro.sim.result.RunResult`, the NVM state fingerprint and
 the NVM access log, followed by the retry, watchdog-trip and reboot
@@ -141,7 +141,7 @@ def _build(runtime: str, device, seed: int):
 
 def run_case(runtime: str, seed: int, p: float):
     """Run one case; returns (golden line, RunResult)."""
-    device = FailRandomly(p=p, seed=seed)
+    device = FailRandomly(p=p, seed=seed).device
     log = AccessLog()
     device.nvm.attach_access_log(log)
     result = device.run(_build(runtime, device, seed), runs=RUNS,

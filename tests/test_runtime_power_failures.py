@@ -14,6 +14,7 @@ from repro.energy.environment import EnergyEnvironment
 from repro.energy.power import PowerModel, TaskCost
 from repro.errors import PowerFailure
 from repro.sim.device import Device
+from repro.sim.faults import FailAtCategoryIndices
 from repro.spec.validator import load_properties
 from repro.taskgraph.builder import AppBuilder
 from repro.taskgraph.context import channel_cell_name
@@ -28,33 +29,6 @@ def harvested_device(usable_mj, charge_s=60.0):
                     v_on=3.0, v_off=1.8, v_initial=3.0)
     env = EnergyEnvironment.for_charging_delay(charge_s, capacitor=cap)
     return Device(env)
-
-
-class FailingDevice(Device):
-    """Device that injects a brown-out on the Nth consume() call of a
-    given category, then behaves continuously. Gives deterministic
-    placement of failures inside the runtime's protocol."""
-
-    def __init__(self, fail_at=None):
-        super().__init__(EnergyEnvironment.continuous())
-        # mapping category -> set of 1-based call indices to kill
-        self.fail_at = fail_at or {}
-        self.calls = {}
-
-    def consume(self, duration_s, power_w, category):
-        n = self.calls.get(category, 0) + 1
-        self.calls[category] = n
-        if n in self.fail_at.get(category, ()):  # die before the work
-            self._alive = False
-            self.trace.record(self.sim_clock.now(), "power_failure",
-                              category=category)
-            raise PowerFailure(self.sim_clock.now())
-        super().consume(duration_s, power_w, category)
-
-    def reboot(self):
-        self.result.reboots += 1
-        self._alive = True
-        self.trace.record(self.sim_clock.now(), "boot")
 
 
 def sense_send_app():
@@ -101,7 +75,7 @@ class TestEventDeliveryProtocol:
         spec = "a { maxTries: 3 onFail: skipPath; }"
         # Fail during the app consume of the first three attempts: the
         # fourth start trips maxTries (i >= 3) and the path is skipped.
-        device = FailingDevice(fail_at={"app": {1, 2, 3}})
+        device = FailAtCategoryIndices({"app": {1, 2, 3}}).device
         props = load_properties(spec, app)
         runtime = ArtemisRuntime(app, props, device, power())
         result = device.run(runtime)
@@ -120,7 +94,7 @@ class TestEventDeliveryProtocol:
         # Kill the runtime-transition consume that precedes the EndTask
         # monitor call for task a (runtime consume #2), so the EndTask
         # event is re-sent after reboot with the persisted timestamp.
-        device = FailingDevice(fail_at={"runtime": {2}})
+        device = FailAtCategoryIndices({"runtime": {2}}).device
         props = load_properties(spec, app)
         runtime = ArtemisRuntime(app, props, device, power())
         result = device.run(runtime)
@@ -137,7 +111,7 @@ class TestEventDeliveryProtocol:
         spec = "b { collect: 1 dpTask: a onFail: restartPath; }"
         # monitor consume #1 is the base step of task a's StartTask call;
         # kill a later monitor consume (the EndTask call's base step).
-        device = FailingDevice(fail_at={"monitor": {3}})
+        device = FailAtCategoryIndices({"monitor": {3}}).device
         props = load_properties(spec, app)
         runtime = ArtemisRuntime(app, props, device, power())
         result = device.run(runtime)
@@ -154,7 +128,7 @@ class TestEventDeliveryProtocol:
         *inside* the monitor call resumes it without a new event."""
         app = AppBuilder("m").task("a").path(1, ["a"]).build()
         spec = "a { maxTries: 5 onFail: skipPath; }"
-        device = FailingDevice(fail_at={"monitor": {2}})
+        device = FailAtCategoryIndices({"monitor": {2}}).device
         props = load_properties(spec, app)
         runtime = ArtemisRuntime(app, props, device, power())
         result = device.run(runtime)
@@ -213,7 +187,7 @@ class TestDoubleInterruption:
         # monitor consume #1: base step of the StartTask call (killed);
         # monitor consume #2: base step re-run inside finalize (killed);
         # monitor consume #3+: finalize completes.
-        device = FailingDevice(fail_at={"monitor": {1, 2}})
+        device = FailAtCategoryIndices({"monitor": {1, 2}}).device
         props = load_properties(spec, app)
         runtime = ArtemisRuntime(app, props, device, power())
         result = device.run(runtime)
@@ -226,7 +200,7 @@ class TestDoubleInterruption:
         assert runtime.monitor.instances[0].get("i") == 0  # reset by end
 
     def test_interleaved_failures_app_and_monitor(self):
-        device = FailingDevice(fail_at={"monitor": {2}, "app": {1, 3}})
+        device = FailAtCategoryIndices({"monitor": {2}, "app": {1, 3}}).device
         app = AppBuilder("m").task("a").task("b").path(1, ["a", "b"]).build()
         spec = "b { collect: 1 dpTask: a onFail: restartPath; }"
         props = load_properties(spec, app)

@@ -32,7 +32,7 @@ SOAK_SEED = int(os.environ.get("SOAK_SEED", "0"))
 
 
 def run_with_faults(p, seed, runs=1):
-    device = FailRandomly(p=p, seed=seed + SOAK_SEED * 100_000)
+    device = FailRandomly(p=p, seed=seed + SOAK_SEED * 100_000).device
     app = build_health_app()
     props = load_properties(BENCHMARK_SPEC, app)
     runtime = ArtemisRuntime(app, props, device, health_power_model())
@@ -43,7 +43,7 @@ def run_with_faults(p, seed, runs=1):
 def run_with_sensor_faults(p, seed, dropout, runs=1):
     """Power failures *and* a flaky PPG sensor, retried with backoff."""
     full_seed = seed + SOAK_SEED * 100_000
-    device = FailRandomly(p=p, seed=full_seed)
+    device = FailRandomly(p=p, seed=full_seed).device
     app = build_health_app()
     peripherals = PeripheralSet(app.sensors)
     peripherals.attach("ppg", BurstDropout(rate=dropout, seed=full_seed))

@@ -67,7 +67,7 @@ class TestFuzzDeployments:
             self, app_seed, prop_seed, fault_seed, density, p_fail):
         app, power = synthetic_app(seed=app_seed)
         props = synthetic_properties(app, density=density, seed=prop_seed)
-        device = FailRandomly(p=p_fail, seed=fault_seed)
+        device = FailRandomly(p=p_fail, seed=fault_seed).device
         runtime = ArtemisRuntime(app, props, device, power)
         result = device.run(runtime, max_time_s=1800.0)
         assert result.completed, (
@@ -91,7 +91,7 @@ class TestFuzzDeployments:
         props = synthetic_properties(app, density=0.6, seed=seed)
         traces = []
         for backend in ("generated", "interpreted"):
-            device = FailRandomly(p=0.05, seed=seed)
+            device = FailRandomly(p=0.05, seed=seed).device
             runtime = ArtemisRuntime(app, props, device, power,
                                      monitor_backend=backend)
             device.run(runtime, max_time_s=1800.0)
