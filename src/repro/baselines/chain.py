@@ -107,7 +107,7 @@ class ChainRuntime(PathRuntime):
                 + [(kind, dict(detail)) for kind, detail in events])
         txn.stage(self._pending_trace.name, owed)
         txn.commit(spend=self._spend_commit_step,
-                   on_step=self._label_commit_step)
+                   on_step=self._commit_labels())
         # No crash point between the commit's last payment and here, so
         # the events are recorded exactly once: either now, or (after a
         # mid-commit crash that rolled forward) replayed at boot.
@@ -134,7 +134,7 @@ class ChainRuntime(PathRuntime):
                 + [(kind, dict(detail)) for kind, detail in events])
         txn.stage(self._pending_trace.name, owed)
         txn.commit(spend=self._spend_commit_step,
-                   on_step=self._label_commit_step)
+                   on_step=self._commit_labels())
         for kind, detail in owed:
             device.trace.record(device.sim_clock.now(), kind, **detail)
         self._pending_trace.set([])

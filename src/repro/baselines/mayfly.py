@@ -174,7 +174,7 @@ class MayflyRuntime(PathRuntime):
         if self._retry.attempts(name):
             txn.stage(self._retry.cell_name, self._retry.cleared(name))
         txn.commit(spend=self._spend_commit_step,
-                   on_step=self._label_commit_step)
+                   on_step=self._commit_labels())
         device.trace.record(device.sim_clock.now(), "task_end", task=name,
                             path=self._cur_path.get())
         for kind, detail in events:
@@ -198,7 +198,7 @@ class MayflyRuntime(PathRuntime):
         for cell_name, value in updates:
             txn.stage(cell_name, value)
         txn.commit(spend=self._spend_commit_step,
-                   on_step=self._label_commit_step)
+                   on_step=self._commit_labels())
         device.trace.record(device.sim_clock.now(), "task_skip",
                             task=name, path=self._cur_path.get(),
                             source="watchdog")

@@ -252,8 +252,7 @@ class ArtemisMonitor:
         # Machines not subscribed to the event's task are charged the
         # same zero and, since none of their transitions can match,
         # skipping their ``on_event`` is observation-equivalent.
-        def idle_step() -> None:
-            spend(0.0)
+        idle_step = functools.partial(spend, 0.0)
 
         def make_step(instance):
             def step() -> None:
@@ -263,10 +262,7 @@ class ArtemisMonitor:
 
             return step
 
-        def base_step() -> None:
-            spend(base_cost_s)
-
-        steps = [base_step]
+        steps = [functools.partial(spend, base_cost_s)]
         if shed:
             for idx, machine in enumerate(self.machines):
                 if machine.name in shed or idx not in relevant:

@@ -399,7 +399,7 @@ class ArtemisRuntime(PathRuntime):
         txn.stage(self._status.name, _FINISHED)
         txn.stage(self._start_checked.name, False)
         txn.commit(spend=self._spend_commit_step,
-                   on_step=self._label_commit_step)
+                   on_step=self._commit_labels())
         device.trace.record(device.sim_clock.now(), "task_end", task=task.name,
                             path=self._cur_path.get())
 

@@ -211,10 +211,8 @@ class PathRuntime:
         self._device.consume(self.power.commit_step_s,
                              self.power.overhead_power_w, "commit")
 
-    def _label_commit_step(self, label: str) -> None:
-        """Forward commit-step labels to an attached crash scheduler."""
-        scheduler = getattr(self._device, "scheduler", None)
-        if scheduler is not None:
-            annotate = getattr(scheduler, "annotate", None)
-            if annotate is not None:
-                annotate(label)
+    def _commit_labels(self) -> Optional[Callable[[str], None]]:
+        """The ``on_step`` of a commit: the attached crash scheduler's
+        ``annotate``, or ``None`` (no labels built) when no scheduler
+        listens for them."""
+        return getattr(self._device.scheduler, "annotate", None)

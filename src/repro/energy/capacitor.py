@@ -47,21 +47,42 @@ class Capacitor:
                 f"require 0 < v_off < v_on <= v_max, got "
                 f"v_off={v_off}, v_on={v_on}, v_max={v_max}"
             )
-        self.capacitance = capacitance
-        self.v_max = v_max
-        self.v_on = v_on
-        self.v_off = v_off
+        self._capacitance = capacitance
+        self._v_max = v_max
+        self._v_on = v_on
+        self._v_off = v_off
+        # The threshold energies, paid for at every charge and draw.
+        # The capacitance and voltages are read-only, so these stay valid.
+        self._floor = self._energy_at(v_off)
+        self._boot = self._energy_at(v_on)
+        self._ceiling = self._energy_at(v_max)
         self._energy = self._energy_at(v_initial if v_initial is not None else v_max)
+
+    @property
+    def capacitance(self) -> float:
+        return self._capacitance
+
+    @property
+    def v_max(self) -> float:
+        return self._v_max
+
+    @property
+    def v_on(self) -> float:
+        return self._v_on
+
+    @property
+    def v_off(self) -> float:
+        return self._v_off
 
     # ------------------------------------------------------------------
     # Voltage/energy conversions
     # ------------------------------------------------------------------
     def _energy_at(self, voltage: float) -> float:
-        return 0.5 * self.capacitance * voltage * voltage
+        return 0.5 * self._capacitance * voltage * voltage
 
     @property
     def voltage(self) -> float:
-        return math.sqrt(2.0 * self._energy / self.capacitance)
+        return math.sqrt(2.0 * self._energy / self._capacitance)
 
     @property
     def energy(self) -> float:
@@ -71,24 +92,24 @@ class Capacitor:
     @property
     def usable_energy(self) -> float:
         """Energy available before brown-out, from the *current* voltage."""
-        return max(0.0, self._energy - self._energy_at(self.v_off))
+        return max(0.0, self._energy - self._floor)
 
     @property
     def usable_energy_per_cycle(self) -> float:
         """Energy one full charge cycle provides (v_on down to v_off)."""
-        return self._energy_at(self.v_on) - self._energy_at(self.v_off)
+        return self._boot - self._floor
 
     @property
     def max_energy(self) -> float:
-        return self._energy_at(self.v_max)
+        return self._ceiling
 
     @property
     def can_boot(self) -> bool:
-        return self.voltage >= self.v_on
+        return self.voltage >= self._v_on
 
     @property
     def is_dead(self) -> bool:
-        return self.voltage < self.v_off
+        return self.voltage < self._v_off
 
     # ------------------------------------------------------------------
     # Charge / discharge
@@ -98,7 +119,7 @@ class Capacitor:
         if energy_j < 0:
             raise EnergyError("cannot charge by negative energy")
         before = self._energy
-        self._energy = min(self.max_energy, self._energy + energy_j)
+        self._energy = min(self._ceiling, self._energy + energy_j)
         return self._energy - before
 
     def discharge(self, energy_j: float) -> bool:
@@ -106,7 +127,7 @@ class Capacitor:
         if the draw crosses the brown-out threshold."""
         if energy_j < 0:
             raise EnergyError("cannot discharge by negative energy")
-        floor = self._energy_at(self.v_off)
+        floor = self._floor
         if self._energy - energy_j < floor:
             self._energy = floor
             return False
@@ -115,10 +136,10 @@ class Capacitor:
 
     def energy_to_boot(self) -> float:
         """Joules still needed to reach the boot threshold."""
-        return max(0.0, self._energy_at(self.v_on) - self._energy)
+        return max(0.0, self._boot - self._energy)
 
     def __repr__(self) -> str:
         return (
-            f"Capacitor(C={self.capacitance}, V={self.voltage:.3f}, "
+            f"Capacitor(C={self._capacitance}, V={self.voltage:.3f}, "
             f"usable={self.usable_energy * 1e3:.3f}mJ)"
         )

@@ -86,16 +86,16 @@ class EnergyEnvironment:
         if energy_j < 0:
             raise EnergyError("cannot consume negative energy")
         self.total_consumed_j += energy_j
-        if self.is_continuous:
+        if self.harvester is None:
             return True
         return self.capacitor.discharge(energy_j)
 
     def harvest(self, t0: float, t1: float) -> float:
         """Accumulate harvested energy over ``[t0, t1]`` into the capacitor."""
-        if self.is_continuous:
+        harvester = self.harvester
+        if harvester is None:
             return 0.0
-        gained = self.harvester.energy_between(t0, t1)
-        stored = self.capacitor.charge(gained)
+        stored = self.capacitor.charge(harvester.energy_between(t0, t1))
         self.total_harvested_j += stored
         return stored
 
@@ -104,18 +104,21 @@ class EnergyEnvironment:
 
         For non-constant harvesters this steps forward in one-second
         increments (charging delays are minutes-scale, so the error is
-        negligible). Raises :class:`~repro.errors.SimulationError` if the
-        ambient source cannot refill the capacitor within ``max_wait_s``.
+        negligible). Raises :class:`~repro.errors.SimulationError` at
+        once if the source is dark from ``t`` on
+        (:meth:`~repro.energy.harvester.Harvester.dark_from`), and if it
+        cannot refill the capacitor within ``max_wait_s``.
         """
-        if self.is_continuous:
+        harvester = self.harvester
+        if harvester is None:
             return 0.0
         needed = self.capacitor.energy_to_boot()
         if needed <= 0:
             return 0.0
-        if isinstance(self.harvester, ConstantHarvester):
-            if self.harvester.power_w <= 0:
-                raise SimulationError("harvester delivers no power; device will never boot")
-            return needed / self.harvester.power_w
+        if harvester.dark_from(t):
+            raise SimulationError("harvester delivers no power; device will never boot")
+        if isinstance(harvester, ConstantHarvester):
+            return needed / harvester.power_w
         elapsed = 0.0
         step = 1.0
         acquired = 0.0
@@ -124,7 +127,7 @@ class EnergyEnvironment:
                 raise SimulationError(
                     f"capacitor not recharged within {max_wait_s} s; ambient source too weak"
                 )
-            acquired += self.harvester.energy_between(t + elapsed, t + elapsed + step)
+            acquired += harvester.energy_between(t + elapsed, t + elapsed + step)
             elapsed += step
         return elapsed
 

@@ -219,7 +219,7 @@ class UpdatableRuntime:
             self._swap_queued = False
             return
         self.installer.activate(spend=runtime._spend_commit_step,
-                                on_step=runtime._label_commit_step)
+                                on_step=runtime._commit_labels())
         device.trace.record(
             device.sim_clock.now(), "ota_activate", version=staged.version,
         )

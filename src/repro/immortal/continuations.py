@@ -89,10 +89,11 @@ class ImmortalRoutine:
         return True
 
     def _execute(self, steps: Sequence[Step], start: int) -> None:
+        set_pc = self._pc.set
         for i in range(start, len(steps)):
             steps[i]()  # PowerFailure here leaves pc at i — step re-runs
-            self._pc.set(i + 1)
-        self._pc.set(_IDLE)  # _end
+            set_pc(i + 1)
+        set_pc(_IDLE)  # _end
 
 
 class PersistentList:

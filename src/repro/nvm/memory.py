@@ -95,29 +95,34 @@ class PersistentCell:
 
     def get(self) -> Any:
         nvm = self._nvm
-        if nvm._access_log is not None:
-            nvm._access_log.on_read(self.name)
+        log = nvm._access_log
+        if log is not None:
+            log.on_read(self.name)
         return nvm._data[self.name]
 
     def set(self, value: Any) -> None:
         nvm = self._nvm
-        limit = nvm._write_limits.get(self.name)
-        if limit is not None and nvm._cell_writes.get(self.name, 0) >= limit[0]:
-            if limit[1]:  # silent wear: the write is dropped, not flagged
-                nvm._wear_dropped += 1
-                return
-            raise NVMError(
-                f"cell {self.name!r} worn out: read-only after "
-                f"{limit[0]} writes"
-            )
-        nvm._data[self.name] = value
-        if nvm._corrupted:
-            nvm._corrupted.pop(self.name, None)
-        nvm._write_count += 1
+        name = self.name
         counts = nvm._cell_writes
-        counts[self.name] = counts.get(self.name, 0) + 1
-        if nvm._access_log is not None:
-            nvm._access_log.on_write(self.name, value)
+        # Only a memory with some cell under a wear limit looks it up.
+        if nvm._write_limits:
+            limit = nvm._write_limits.get(name)
+            if limit is not None and counts.get(name, 0) >= limit[0]:
+                if limit[1]:  # silent wear: the write is dropped, not flagged
+                    nvm._wear_dropped += 1
+                    return
+                raise NVMError(
+                    f"cell {name!r} worn out: read-only after "
+                    f"{limit[0]} writes"
+                )
+        nvm._data[name] = value
+        if nvm._corrupted:
+            nvm._corrupted.pop(name, None)
+        nvm._write_count += 1
+        counts[name] = counts.get(name, 0) + 1
+        log = nvm._access_log
+        if log is not None:
+            log.on_write(name, value)
 
     # Convenience property-style access.
     value = property(get, set)

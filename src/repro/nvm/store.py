@@ -7,13 +7,20 @@ across power failures. Cells are allocated lazily on first write.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Dict, Iterator, Optional
 
-from repro.nvm.memory import NonVolatileMemory
+from repro.nvm.memory import NonVolatileMemory, PersistentCell
 
 
 class NVMStore:
-    """Mutable-mapping adapter: ``store[key]`` ↔ NVM cell ``prefix.key``."""
+    """Mutable-mapping adapter: ``store[key]`` ↔ NVM cell ``prefix.key``.
+
+    Every access still reads the ``__keys__`` cell and gets or sets the
+    key's own cell; only the name derivation and the cell lookup are
+    cached, per key, for as long as the memory's layout
+    (:attr:`~repro.nvm.memory.NonVolatileMemory.layout_version`) holds:
+    any allocation or free, by this store or another, drops the cache.
+    """
 
     def __init__(self, nvm: NonVolatileMemory, prefix: str, cell_bytes: int = 8,
                  progress: bool = False):
@@ -24,23 +31,42 @@ class NVMStore:
         # Track which keys belong to this store (NVM itself is shared).
         self._keys_cell = nvm.alloc(f"{prefix}.__keys__", initial=(),
                                     size_bytes=16, progress=progress)
+        self._cells: Dict[str, PersistentCell] = {}
+        self._layout = nvm.layout_version
 
     def _cell_name(self, key: str) -> str:
         return f"{self._prefix}.{key}"
 
+    def _cached(self, key: str) -> Optional[PersistentCell]:
+        """The cell behind ``key`` as cached in this layout, or ``None``."""
+        layout = self._nvm.layout_version
+        if layout != self._layout:
+            self._cells.clear()
+            self._layout = layout
+        return self._cells.get(key)
+
     def __getitem__(self, key: str) -> Any:
-        if key not in self:
+        if key not in self._keys_cell.get():
             raise KeyError(key)
-        return self._nvm.cell(self._cell_name(key)).get()
+        cell = self._cached(key)
+        if cell is None:
+            cell = self._cells[key] = self._nvm.cell(self._cell_name(key))
+        return cell.get()
 
     def __setitem__(self, key: str, value: Any) -> None:
-        name = self._cell_name(key)
-        if name not in self._nvm:
-            self._nvm.alloc(name, initial=None, size_bytes=self._cell_bytes,
-                            progress=self._progress)
-        if key not in self._keys_cell.get():
-            self._keys_cell.set(self._keys_cell.get() + (key,))
-        self._nvm.cell(name).set(value)
+        cell = self._cached(key)
+        if cell is None:
+            name = self._cell_name(key)
+            if name not in self._nvm:
+                self._nvm.alloc(name, initial=None, size_bytes=self._cell_bytes,
+                                progress=self._progress)
+            cell = self._nvm.cell(name)
+            self._cells[key] = cell
+            self._layout = self._nvm.layout_version
+        keys_cell = self._keys_cell
+        if key not in keys_cell.get():
+            keys_cell.set(keys_cell.get() + (key,))
+        cell.set(value)
 
     def __delitem__(self, key: str) -> None:
         if key not in self:

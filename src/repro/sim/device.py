@@ -92,7 +92,8 @@ class Device:
         advances to the instant of death, the partial cost is accounted,
         and :class:`~repro.errors.PowerFailure` is raised.
         """
-        if self.scheduler is not None and self.scheduler.before_consume(
+        scheduler = self.scheduler
+        if scheduler is not None and scheduler.before_consume(
                 duration_s, power_w, category):
             self._die(category, injected=True)
         if category not in CATEGORIES:
@@ -104,32 +105,27 @@ class Device:
         if duration_s == 0.0:
             return
 
+        env = self.env
+        harvester = env.harvester
+        if harvester is None:
+            self._account(duration_s, power_w, category)
+            env.consume(duration_s * power_w)
+            return
+
         t = self.sim_clock.now()
-        if self.env.is_continuous:
-            self._account(duration_s, power_w, category)
-            self.env.consume(duration_s * power_w)
-            return
-
-        harvest_w = self.env.harvester.power_at(t)
-        net_w = power_w - harvest_w
-        if net_w <= 0:
-            # Harvest covers the load; surplus charges the capacitor.
-            self.env.harvest(t, t + duration_s)
-            self.env.consume(duration_s * power_w)
-            self._account(duration_s, power_w, category)
-            return
-
-        usable = self.env.capacitor.usable_energy
-        time_to_die = usable / net_w
-        if time_to_die >= duration_s:
-            self.env.harvest(t, t + duration_s)
-            self.env.consume(duration_s * power_w)
+        net_w = power_w - harvester.power_at(t)
+        # Either the harvest covers the load (the surplus charges the
+        # capacitor), or the store outlasts the step.
+        if net_w <= 0 or env.capacitor.usable_energy / net_w >= duration_s:
+            env.harvest(t, t + duration_s)
+            env.consume(duration_s * power_w)
             self._account(duration_s, power_w, category)
             return
 
         # Brown-out mid-step.
-        self.env.harvest(t, t + time_to_die)
-        self.env.consume(time_to_die * power_w)
+        time_to_die = env.capacitor.usable_energy / net_w
+        env.harvest(t, t + time_to_die)
+        env.consume(time_to_die * power_w)
         self._account(time_to_die, power_w, category)
         self._die(category)
 
@@ -160,9 +156,10 @@ class Device:
 
     def _account(self, duration_s: float, power_w: float, category: str) -> None:
         self.sim_clock.advance(duration_s)
-        self.result.on_time_s += duration_s
-        self.result.busy_time_s[category] += duration_s
-        self.result.energy_j[category] += duration_s * power_w
+        result = self.result
+        result.on_time_s += duration_s
+        result.busy_time_s[category] += duration_s
+        result.energy_j[category] += duration_s * power_w
 
     # ------------------------------------------------------------------
     # Power-cycle management
