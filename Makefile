@@ -21,7 +21,7 @@ test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q
 
 crashsweep:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_crash_sweep.py tests/test_soak_random_faults.py tests/test_runtime_goldens.py tests/test_recovery.py tests/test_faults.py tests/test_retry_commit_consistency.py tests/test_runtime_power_failures.py tests/test_baselines.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_crash_sweep.py tests/test_soak_random_faults.py tests/test_runtime_goldens.py tests/test_recovery.py tests/test_faults.py tests/test_retry_commit_consistency.py tests/test_runtime_power_failures.py tests/test_baselines.py tests/test_runtime_energy_golden.py tests/test_payment_path.py -q
 
 # Bounded model checking of every workload x runtime scenario against
 # its continuous-power oracle, plus the mutation self-test proving the
