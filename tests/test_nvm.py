@@ -372,6 +372,18 @@ class TestIntegrity:
             cell.set(3)
         assert cell.get() == 2  # still readable
 
+    def test_limit_set_after_writes_still_binds(self, nvm):
+        # The first writes ran with no limit anywhere; the one set
+        # later must still be looked up.
+        cell = nvm.alloc("x", initial=0)
+        cell.set(1)
+        nvm.alloc("y", initial=0).set(1)
+        nvm.set_write_limit("x", 2)
+        cell.set(2)
+        with pytest.raises(NVMError):
+            cell.set(3)
+        assert cell.get() == 2
+
     def test_silent_wear_drops_writes(self, nvm):
         cell = nvm.alloc("x", initial=0)
         nvm.set_write_limit("x", 1, silent=True)
